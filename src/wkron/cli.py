@@ -8,12 +8,14 @@ Exit codes: 0 success, 1 internal inconsistency (oracle mismatch),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
 import os
 import sys
 from fractions import Fraction
+from itertools import islice
 
 from . import covariants, ghz, kronstate, probw, protocol
 from .partitions import kron_coeff, parse_partition_tuple, w_admissible
@@ -28,12 +30,25 @@ def _write(text: str, out: str | None):
         sys.stdout.write(text)
 
 
-def _parse_state(spec: str, parties: int):
+def _write_json(obj, out: str | None, indent: int | None = None):
+    """Write obj as JSON and a newline.  The text goes out in pieces of a few
+    thousand chunks, so a large table's text is never held whole."""
+    chunks = json.JSONEncoder(indent=indent).iterencode(obj)
+    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
+        while piece := "".join(islice(chunks, 4096)):
+            fh.write(piece)
+        fh.write("\n")
+
+
+def _parse_state(spec: str, parties: int | None):
     if spec in ("W", "w"):
-        return w_normal_form(parties)
+        return w_normal_form(3 if parties is None else parties)
     if spec.startswith("ghz:"):
-        return protocol.GHZState(Fraction(spec[4:]), parties)
-    return parse_w_state(spec)
+        return protocol.GHZState(Fraction(spec[4:]), 3 if parties is None else parties)
+    state = parse_w_state(spec)
+    if parties is not None and parties != state.num_parties:
+        raise ValueError(f"--parties {parties} inconsistent with {state.num_parties}-party weights")
+    return state
 
 
 def cmd_kron(args) -> int:
@@ -56,8 +71,7 @@ def cmd_kron(args) -> int:
     table["eta"] = kronstate.eta(kv).to_json()
     table["p_w"] = str(probw.p_w(lams))
     table["kron_coeff"] = kron_coeff(lams)
-    text = json.dumps(table, indent=1 if args.format == "json" else None) + "\n"
-    _write(text, args.out)
+    _write_json(table, args.out, indent=1 if args.format == "json" else None)
     return 0
 
 
@@ -139,7 +153,7 @@ def cmd_verify(args) -> int:
             report = protocol.verify_report(cases, pool_map=pool.map)
     else:
         report = protocol.verify_report(cases)
-    _write(json.dumps(report, indent=1) + "\n", args.out)
+    _write_json(report, args.out, indent=1)
     return 0 if report["ok"] else 1
 
 
@@ -151,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p, state=False, seed=False):
-        p.add_argument("--parties", type=int, default=3)
+        p.add_argument("--parties", type=int, default=None)
         p.add_argument("--format", choices=("json", "csv"), default=None)
         p.add_argument("--out", default=None)
         p.add_argument("--mode", choices=("exact", "float"), default=None)
@@ -163,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kron", help="Kronecker-state coefficient table (JSON)")
     common(p)
     p.add_argument("--lambda", dest="lam", required=True, help='partition tuple "a,b;a,b;..."')
-    p.set_defaults(func=cmd_kron, format="json", parties=None)
+    p.set_defaults(func=cmd_kron, format="json")
 
     p = sub.add_parser("prob", help="sector probability table (CSV)")
     common(p, state=True, seed=True)

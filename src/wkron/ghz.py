@@ -259,6 +259,8 @@ def sector_probability(lams: PartitionTuple, alpha) -> Fraction:
 
 def typical_partition(n: int) -> TwoRowPartition:
     """lambda = (n - [n/3], [n/3]) with [] the nearest integer."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     k = int(math.floor(n / 3 + 0.5))
     return TwoRowPartition(n - k, k)
 

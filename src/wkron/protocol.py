@@ -426,6 +426,8 @@ def sector_distribution(state, n: int) -> list[tuple[PartitionTuple, Fraction]]:
     return out
 
 
+# Bound on one outcome sector's support (product of its dimensions) for which
+# sample_run builds the Kronecker vector; khat builds only that sector's down-set.
 KRON_SUPPORT_CAP = 200_000
 
 
@@ -435,6 +437,8 @@ def sample_outcomes(state, n: int, seed: int, count: int) -> list[PartitionTuple
     The pseudorandom stream is Python's Mersenne Twister seeded with `seed`;
     each draw consumes 64 bits, u = getrandbits(64)/2^64, platform independent.
     """
+    if count < 0:
+        raise ValueError(f"cannot draw {count} samples")
     dist = sector_distribution(state, n)
     rng = random.Random(seed)
     out = []
@@ -494,9 +498,6 @@ def marginal_entropy(state, party: int) -> float:
 
 def verify_case(num_parties: int, n: int) -> dict:
     """Exact oracle-vs-recurrence comparison of every sector at one (N, n)."""
-    from .kronstate import khat_all
-
-    rec = khat_all(num_parties, n)
     entry = {
         "N": num_parties,
         "n": n,
@@ -505,9 +506,9 @@ def verify_case(num_parties: int, n: int) -> dict:
         "empty_checked": 0,
     }
     for lams in all_partition_tuples(num_parties, n):
-        kv = rec.get(lams)
+        kv = khat(num_parties, n, lams)
         ov = oracle_khat(lams, n)
-        if kv is None:
+        if kv.is_zero:
             entry["empty_checked"] += 1
             if ov.coeffs:
                 entry["mismatches"].append(

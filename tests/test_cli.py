@@ -41,6 +41,26 @@ def test_kron_round_trip_bit_identical(capsys, tmp_path):
     assert kv.coeffs == direct.coeffs
 
 
+@pytest.mark.parametrize("fmt, indent", [("json", 1), ("csv", None)])
+def test_kron_text_is_one_json_dumps(capsys, tmp_path, fmt, indent):
+    # the text is written in pieces; it must read as one json.dumps, on
+    # stdout and in --out alike; (5,2)^3 spans several pieces
+    from wkron.kronstate import eta, khat, normalized, to_table_json
+    from wkron.partitions import kron_coeff
+    from wkron.probw import p_w
+
+    lams = ptuple((5, 2), (5, 2), (5, 2))
+    kv = khat(3, 7, lams)
+    table = to_table_json(normalized(kv))
+    table.update(eta=eta(kv).to_json(), p_w=str(p_w(lams)), kron_coeff=kron_coeff(lams))
+    code, out, _ = run(["kron", "--lambda", "5,2;5,2;5,2", "--format", fmt], capsys)
+    assert code == 0
+    assert out == json.dumps(table, indent=indent) + "\n"
+    path = tmp_path / "t.json"
+    assert main(["kron", "--lambda", "5,2;5,2;5,2", "--format", fmt, "--out", str(path)]) == 0
+    assert path.read_text() == out
+
+
 def test_kron_n7_table(capsys, tmp_path):
     out = tmp_path / "big.json"
     code = main(["kron", "--lambda", "5,2;5,2;5,2", "--out", str(out)])
@@ -68,6 +88,34 @@ def test_kron_parties_mismatch_exit_2(capsys):
     code, _, err = run(["kron", "--parties", "4", "--lambda", "2,1;2,1;2,1"], capsys)
     assert code == 2
     assert "inconsistent" in err
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["sample", "--copies", "2", "--runs", "-1"], "-1 samples"),
+        (["ghz-spectrum", "--copies", "0"], "n must be >= 1"),
+        (["ghz-spectrum", "--copies", "6,0"], "n must be >= 1"),
+        (["prob", "--parties", "3", "--state", "1/2,1/4,1/4", "--copies", "2"], "inconsistent"),
+        (["sample", "--parties", "4", "--state", "0,1/3,1/3,1/3", "--copies", "2"],
+         "inconsistent"),
+    ],
+)
+def test_out_of_range_input_exit_2(capsys, argv, reason):
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert reason in err
+
+
+def test_parties_matching_weights_or_w(capsys):
+    code, out, _ = run(["prob", "--parties", "2", "--state", "1/2,1/4,1/4", "--copies", "1"],
+                       capsys)
+    assert code == 0 and "(1,0;1,0)" in out
+    code, out, _ = run(["prob", "--state", "W", "--copies", "1"], capsys)
+    assert code == 0 and "(1,0;1,0;1,0)" in out
+    code, out, _ = run(["prob", "--parties", "4", "--state", "W", "--copies", "1"], capsys)
+    assert code == 0 and "(1,0;1,0;1,0;1,0)" in out
 
 
 def test_prob_csv_cumulative_one(capsys):

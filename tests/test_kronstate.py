@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from wkron import kronstate
 from wkron.exact import RadicalSum, SqrtRational
 from wkron.kronstate import (
     KroneckerVector,
@@ -17,7 +18,9 @@ from wkron.kronstate import (
     verify_lemma1,
     verify_lemma1_float,
 )
-from wkron.partitions import ptuple
+from wkron.partitions import ptuple, w_admissible
+from wkron.probw import p_w
+from wkron.protocol import all_partition_tuples
 from wkron.schur import rep_matrix, standard_paths
 from wkron.wstates import w_normal_form, z_norm
 
@@ -139,3 +142,53 @@ def test_table_json_round_trip():
     assert back.coeffs == kv.coeffs
     assert table["labels"]["1"] == ["001", "010"]
     assert all(e["q"][0] in (1, 2) for e in table["entries"])
+
+
+def _contained(t, lams):
+    return all(a.lambda1 <= b.lambda1 and a.lambda2 <= b.lambda2 for a, b in zip(t, lams))
+
+
+def test_khat_memoizes_only_the_down_set():
+    memo = kronstate._memo_coeffs
+    lams = ptuple((5, 3), (6, 2), (6, 2))
+    memo.cache_clear()
+    assert not khat(3, 8, lams).is_zero
+    held = memo.cache_info().currsize
+    lower = [t for m in range(1, 8) for t in all_partition_tuples(3, m) if w_admissible(t)]
+    # a probe is a hit exactly when its tuple was memoized by the call above
+    found = 0
+    for t in (t for t in lower if _contained(t, lams)):
+        misses = memo.cache_info().misses
+        memo(t)
+        found += memo.cache_info().misses == misses
+    assert 0 < held == found < len(lower)
+
+
+def test_khat_single_sector_n12():
+    # khat_all(3, 12) runs out of memory; one sector needs only its down-set
+    lams = ptuple((10, 2), (10, 2), (10, 2))
+    kronstate._memo_coeffs.cache_clear()
+    kv = khat(3, 12, lams)
+    assert eta(kv).square() * z_norm(w_normal_form(3), lams) == p_w(lams)
+
+
+def test_khat_result_is_the_callers():
+    small, big = ptuple((2, 0), (1, 1), (1, 1)), ptuple((2, 1), (2, 1), (2, 1))
+    want_small, want_big = dict(khat(3, 2, small).coeffs), dict(khat(3, 3, big).coeffs)
+    khat(3, 2, small).coeffs.clear()
+    khat(3, 3, big).coeffs[((0, 0, 1),) * 3] = SqrtRational.one()
+    assert khat(3, 2, small).coeffs == want_small
+    assert khat(3, 3, big).coeffs == want_big
+
+
+def test_khat_shares_paths_and_values():
+    # one object per distinct value, and per predecessor one object per
+    # extended path, keep a sector's memory close to its key tuples
+    lams = ptuple((5, 3), (6, 2), (6, 2))
+    kronstate._memo_coeffs.cache_clear()
+    kv = khat(3, 8, lams)
+    for coeffs in (kv.coeffs, normalized(kv).coeffs):
+        assert len({id(v) for v in coeffs.values()}) == len(set(coeffs.values()))
+    for i, lam in enumerate(lams):
+        assert len({id(qt[i]) for qt in kv.coeffs}) <= 2**3 * len(standard_paths(lam))
+    assert len(set(kv.coeffs.values())) * 4 < len(kv.coeffs)
