@@ -76,33 +76,19 @@ def cmd_kron(args) -> int:
 
 
 def cmd_prob(args) -> int:
+    """Exact sector probability table from `protocol.sector_distribution`:
+    closed forms for W-class and GHZ states alike, nonzero rows only.  The
+    `source` column stays for CSV readers and reads `closed-form` on every
+    row."""
     state = _parse_state(args.state, args.parties)
-    n = args.copies
-    if isinstance(state, protocol.GHZState):
-        # probabilities from the dense oracle; the counting route is W-only
-        dense = protocol.tensor_power(state, n, mode=args.mode)
-        sectors = protocol.multilocal_schur(dense)
-        rows = sorted(
-            ((lams, Fraction(b.norm_sq()) if b.mode == "exact" else b.norm_sq())
-             for lams, b in sectors.items()),
-            key=lambda t: str(t[0]),
-        )
-        source = "dense-oracle"
-    else:
-        rows = sorted(
-            ((lams, probw.p_psi(state, lams))
-             for lams in protocol.all_partition_tuples(state.num_parties, n)),
-            key=lambda t: str(t[0]),
-        )
-        rows = [(lams, p) for lams, p in rows if p > 0]
-        source = "closed-form"
+    rows = sorted(protocol.sector_distribution(state, args.copies), key=lambda t: str(t[0]))
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["lambda", "p", "p_float", "cumulative", "source"])
     acc = Fraction(0)
     for lams, p in rows:
         acc += p
-        writer.writerow([str(lams), str(p), float(p), str(acc), source])
+        writer.writerow([str(lams), str(p), float(p), str(acc), "closed-form"])
     _write(buf.getvalue(), args.out)
     return 0
 
@@ -164,31 +150,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, state=False, seed=False):
-        p.add_argument("--parties", type=int, default=None)
-        p.add_argument("--format", choices=("json", "csv"), default=None)
+    def common(p, state=False):
         p.add_argument("--out", default=None)
-        p.add_argument("--mode", choices=("exact", "float"), default=None)
         if state:
+            p.add_argument("--parties", type=int, default=None)
             p.add_argument("--state", default="W", help="W | ghz:ALPHA | c0,c1,...,cN")
-        if seed:
-            p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("kron", help="Kronecker-state coefficient table (JSON)")
     common(p)
+    p.add_argument("--parties", type=int, default=None)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--lambda", dest="lam", required=True, help='partition tuple "a,b;a,b;..."')
-    p.set_defaults(func=cmd_kron, format="json")
+    p.set_defaults(func=cmd_kron)
 
     p = sub.add_parser("prob", help="sector probability table (CSV)")
-    common(p, state=True, seed=True)
+    common(p, state=True)
     p.add_argument("--copies", type=int, required=True)
-    p.set_defaults(func=cmd_prob, format="csv")
+    p.set_defaults(func=cmd_prob)
 
     p = sub.add_parser("ghz-spectrum", help="GHZ residual Schmidt spectra (CSV)")
     common(p)
     p.add_argument("--copies", dest="copies_list", required=True, help="comma list of n")
     p.add_argument("--alpha", default="1/3")
-    p.set_defaults(func=cmd_ghz_spectrum, format="csv")
+    p.set_defaults(func=cmd_ghz_spectrum)
 
     p = sub.add_parser("covariant", help="closed-form W-class covariant, pretty-printed")
     common(p, state=True)
@@ -197,10 +181,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_covariant)
 
     p = sub.add_parser("sample", help="sample measurement outcomes (CSV)")
-    common(p, state=True, seed=True)
+    common(p, state=True)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--copies", type=int, required=True)
     p.add_argument("--runs", type=int, default=1)
-    p.set_defaults(func=cmd_sample, format="csv")
+    p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("verify", help="oracle-vs-recurrence master suite (JSON report)")
     common(p)

@@ -136,18 +136,6 @@ class SqrtRational:
         return f"{pre}sqrt({self.radicand})"
 
 
-def sr_mul(a: SqrtRational, b: SqrtRational) -> SqrtRational:
-    return a * b
-
-
-def sr_square(a: SqrtRational) -> Fraction:
-    return a.square()
-
-
-def sr_to_float(a: SqrtRational) -> float:
-    return float(a)
-
-
 @lru_cache(maxsize=None)
 def _squarefree(n: int) -> tuple[int, int]:
     """Decompose n >= 1 as m*m*d with d squarefree; returns (m, d)."""

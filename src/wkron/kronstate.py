@@ -43,9 +43,6 @@ class KroneckerVector:
         """Multiset (sorted list) of squared coefficient values."""
         return sorted(v.square() for v in self.coeffs.values())
 
-    def float_dict(self) -> dict[QTuple, float]:
-        return {k: float(v) for k, v in self.coeffs.items()}
-
 
 def f_coeff(lams: PartitionTuple, qn: tuple[int, ...], n: int) -> SqrtRational:
     """One-step recurrence factor for extending every party's path by qn.

@@ -11,7 +11,7 @@ from functools import lru_cache
 
 from .ghz import JointWeight, louck_diag
 from .partitions import PartitionTuple, w_admissible
-from .wstates import WClassState, w_normal_form, z_norm
+from .wstates import WClassState, _weight_tuples, w_normal_form, z_norm
 
 WeightTuple = tuple[int, ...]
 
@@ -136,22 +136,6 @@ def theta_for(omega: int, x: int, n: int) -> JointWeight:
     return JointWeight(n - omega - x, x, x, omega - x)
 
 
-def _weight_tuples(lams: PartitionTuple):
-    n = lams.n
-
-    def rec(i, remaining):
-        if i == lams.num_parties:
-            if remaining == 0:
-                yield ()
-            return
-        lam = lams[i]
-        for om in range(lam.lambda2, min(lam.lambda1, remaining) + 1):
-            for rest in rec(i + 1, remaining - om):
-                yield (om,) + rest
-
-    return rec(0, n)
-
-
 def p_w(lams: PartitionTuple) -> Fraction:
     """Exact probability of projecting W^(x)n onto the sector lams."""
     from .partitions import dim_irrep
@@ -161,6 +145,8 @@ def p_w(lams: PartitionTuple) -> Fraction:
     f_all = math.prod(dim_irrep(lam) for lam in lams)
     total = Fraction(0)
     for omega in _weight_tuples(lams):
+        if sum(omega) != n:
+            continue
         xmax = [min(om, n - om) for om in omega]
         c_vals = [
             [louck_diag(lams[i], omega[i], x) for x in range(xmax[i] + 1)]

@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -401,8 +403,10 @@ def all_partition_tuples(num_parties: int, n: int):
 def sector_distribution(state, n: int) -> list[tuple[PartitionTuple, Fraction]]:
     """Exact outcome distribution over partition tuples, nonzero entries only.
 
-    W-class and GHZ states use closed forms (no size cap); raw amplitude
-    lists fall back to the exact dense oracle within its cap.
+    W-class states use `probw.p_psi` and GHZ states the Louck-polynomial sum
+    `ghz.sector_probability`, both closed forms with no size cap; this is the
+    route of `wkron prob` and `wkron sample`.  Raw amplitude lists fall back
+    to the exact dense oracle within its cap.
     """
     if isinstance(state, WClassState):
         out = [
@@ -440,19 +444,12 @@ def sample_outcomes(state, n: int, seed: int, count: int) -> list[PartitionTuple
     if count < 0:
         raise ValueError(f"cannot draw {count} samples")
     dist = sector_distribution(state, n)
+    cdf = list(accumulate(p for _, p in dist))  # ends at exactly 1 > u
     rng = random.Random(seed)
-    out = []
-    for _ in range(count):
-        u = Fraction(rng.getrandbits(64), 2**64)
-        acc = Fraction(0)
-        pick = dist[-1][0]
-        for lams, p in dist:
-            acc += p
-            if u < acc:
-                pick = lams
-                break
-        out.append(pick)
-    return out
+    return [
+        dist[bisect_right(cdf, Fraction(rng.getrandbits(64), 2**64))][0]
+        for _ in range(count)
+    ]
 
 
 def sample_run(state, n: int, seed: int) -> dict:

@@ -41,9 +41,6 @@ class WClassState:
     def num_parties(self) -> int:
         return len(self.c) - 1
 
-    def amplitude_sq(self, i: int) -> Fraction:
-        return self.c[i]
-
     def __repr__(self) -> str:
         return "WClassState(" + ",".join(str(x) for x in self.c) + ")"
 

@@ -129,21 +129,37 @@ def test_prob_csv_cumulative_one(capsys):
     assert by_lam["(2,0;2,0;2,0)"] == Fraction(2, 3)
 
 
-def test_prob_ghz_uses_oracle(capsys):
-    code, out, _ = run(["prob", "--copies", "4", "--state", "ghz:1/3"], capsys)
+@pytest.mark.parametrize("alpha", ["1/3", "2/7"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_prob_ghz_equals_dense_oracle(capsys, alpha, n):
+    from wkron.protocol import GHZState, multilocal_schur, tensor_power
+
+    code, out, _ = run(["prob", "--copies", str(n), "--state", f"ghz:{alpha}"], capsys)
     assert code == 0
     rows = list(csv.DictReader(io.StringIO(out)))
-    assert all(r["source"] == "dense-oracle" for r in rows)
-    assert sum(Fraction(r["p"]) for r in rows) == 1
+    sectors = multilocal_schur(tensor_power(GHZState(Fraction(alpha), 3), n, mode="exact"))
+    oracle = {str(lams): Fraction(b.norm_sq()) for lams, b in sectors.items()}
+    assert {r["lambda"]: Fraction(r["p"]) for r in rows} == {
+        lam: p for lam, p in oracle.items() if p
+    }
+    assert all(r["source"] == "closed-form" for r in rows)
+    assert rows[-1]["cumulative"] == "1"
 
 
-def test_prob_ghz_float_mode(capsys):
-    code, out, _ = run(
-        ["prob", "--copies", "4", "--state", "ghz:1/3", "--mode", "float"], capsys
-    )
-    assert code == 0
-    rows = list(csv.DictReader(io.StringIO(out)))
-    assert abs(sum(float(r["p_float"]) for r in rows) - 1) < 1e-10
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["prob", "--copies", "2", "--mode", "float"],
+        ["prob", "--copies", "2", "--seed", "1"],
+        ["verify", "--parties", "4"],
+        ["ghz-spectrum", "--copies", "3", "--format", "json"],
+    ],
+)
+def test_unread_flags_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_ghz_spectrum_rows(capsys):

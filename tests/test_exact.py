@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from wkron.exact import RadicalSum, SqrtRational, sr_mul, sr_square, sr_to_float, sym_eig
+from wkron.exact import RadicalSum, SqrtRational, sym_eig
 
 
 def sq(x):
@@ -13,21 +13,21 @@ def sq(x):
 
 
 def test_mul_examples():
-    assert sr_mul(sq("1/2"), -sq("1/3")) == -sq("1/6")
-    assert sr_mul(sq("5/7"), SqrtRational.zero()) == SqrtRational.zero()
-    assert sr_mul(-sq("4/3"), -sq("1/2")) == sq("2/3")
+    assert sq("1/2") * -sq("1/3") == -sq("1/6")
+    assert sq("5/7") * SqrtRational.zero() == SqrtRational.zero()
+    assert -sq("4/3") * -sq("1/2") == sq("2/3")
 
 
 def test_square_examples():
-    assert sr_square(-sq("2/3")) == Fraction(2, 3)
-    assert sr_square(SqrtRational.zero()) == 0
-    assert sr_square(sq("8/3")) == Fraction(8, 3)
+    assert (-sq("2/3")).square() == Fraction(2, 3)
+    assert SqrtRational.zero().square() == 0
+    assert sq("8/3").square() == Fraction(8, 3)
 
 
 def test_to_float_examples():
-    assert sr_to_float(sq("1/4")) == 0.5
-    assert abs(sr_to_float(-sq("2/3")) + 0.8164965809277260) < 1e-15
-    assert sr_to_float(SqrtRational.zero()) == 0.0
+    assert float(sq("1/4")) == 0.5
+    assert abs(float(-sq("2/3")) + 0.8164965809277260) < 1e-15
+    assert float(SqrtRational.zero()) == 0.0
 
 
 def test_from_rational_roundtrip():
@@ -63,7 +63,7 @@ def test_mul_commutative_associative_random():
         a, b, c = rand(), rand(), rand()
         assert a * b == b * a
         assert (a * b) * c == a * (b * c)
-        assert sr_square(a * b) == sr_square(a) * sr_square(b)
+        assert (a * b).square() == a.square() * b.square()
 
 
 def test_division_inverts_multiplication():

@@ -206,6 +206,31 @@ def test_sample_run_deterministic():
     assert r1["kron"] is not None
 
 
+@pytest.mark.parametrize(
+    "state, n",
+    [
+        (w_normal_form(3), 3),
+        (WClassState((Fraction(1, 5), Fraction(2, 5), Fraction(1, 5), Fraction(1, 5))), 4),
+        (GHZState(Fraction(2, 7), 3), 5),
+    ],
+)
+def test_sample_outcomes_equal_linear_scan(state, n):
+    # the draws equal a per-draw linear scan of the same 64-bit stream
+    dist = sector_distribution(state, n)
+    for seed in (0, 1, 7, 2024, 31337):
+        rng = random.Random(seed)
+        expected = []
+        for _ in range(300):
+            u = Fraction(rng.getrandbits(64), 2**64)
+            acc = Fraction(0)
+            for lams, p in dist:
+                acc += p
+                if u < acc:
+                    expected.append(lams)
+                    break
+        assert sample_outcomes(state, n, seed, 300) == expected
+
+
 def test_sample_frequencies_match_probability():
     w = w_normal_form(3)
     count = 100_000
