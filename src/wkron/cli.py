@@ -71,7 +71,7 @@ def cmd_kron(args) -> int:
     table["eta"] = kronstate.eta(kv).to_json()
     table["p_w"] = str(probw.p_w(lams))
     table["kron_coeff"] = kron_coeff(lams)
-    _write_json(table, args.out, indent=1 if args.format == "json" else None)
+    _write_json(table, args.out, indent=1)
     return 0
 
 
@@ -159,7 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kron", help="Kronecker-state coefficient table (JSON)")
     common(p)
     p.add_argument("--parties", type=int, default=None)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--lambda", dest="lam", required=True, help='partition tuple "a,b;a,b;..."')
     p.set_defaults(func=cmd_kron)
 

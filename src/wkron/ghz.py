@@ -20,7 +20,7 @@ import numpy as np
 
 from .exact import RadicalSum, SqrtRational, sym_eig
 from .partitions import PartitionTuple, TwoRowPartition, dim_irrep
-from .schur import _b_table, standard_paths
+from .schur import SchurLabel, b_coeff, standard_paths
 from .wstates import a_factor
 
 
@@ -130,16 +130,14 @@ def louck_bsum(lam: TwoRowPartition, omega: int, omega_p: int, theta: JointWeigh
     canonical representative pair; cross-checks the product formula."""
     if theta.weights() != (omega, omega_p):
         raise ValueError(f"{theta} incompatible with weights ({omega},{omega_p})")
-    n = theta.n
+    if not (lam.lambda1 >= omega >= lam.lambda2 and lam.lambda1 >= omega_p >= lam.lambda2):
+        return SqrtRational.zero()
     s = (1,) * theta.t11 + (1,) * theta.t10 + (0,) * theta.t01 + (0,) * theta.t00
     sp = (1,) * theta.t11 + (0,) * theta.t10 + (1,) * theta.t01 + (0,) * theta.t00
-    tab = _b_table(n)
     acc = RadicalSum.zero()
     for q in standard_paths(lam):
-        b1 = tab.get((lam, omega, q), {}).get(s)
-        b2 = tab.get((lam, omega_p, q), {}).get(sp)
-        if b1 is not None and b2 is not None:
-            acc = acc + RadicalSum.from_sqrt(b1 * b2)
+        b = b_coeff(SchurLabel(lam, omega, q), s) * b_coeff(SchurLabel(lam, omega_p, q), sp)
+        acc = acc + RadicalSum.from_sqrt(b)
     return acc.scale(Fraction(1, dim_irrep(lam))).collapse()
 
 

@@ -2,10 +2,10 @@
 
 Builds the n-fold tensor power of a state explicitly, applies the multilocal
 Schur transform party by party, projects sectors, extracts the residual
-Schmidt structure, and samples measurement outcomes.  In exact mode every
-amplitude is a SqrtRational and sector entries are accumulated in the internal
-radical-sum ring, so the recurrence can be checked against the oracle with
-zero tolerance.
+Schmidt structure, and samples measurement outcomes.  The oracle is exact:
+every amplitude is a SqrtRational and sector entries are accumulated in the
+internal radical-sum ring, so the recurrence can be checked against it with
+zero tolerance.  It is capped at EXACT_CAP qubits in total.
 
 Bit layout (part of the contract): amplitude index is an (N*n)-bit integer,
 party-major, with party i's copy-k qubit at bit position i*n + k counted from
@@ -29,11 +29,10 @@ from . import probw
 from .exact import RadicalSum, SqrtRational
 from .kronstate import KroneckerVector, khat, normalized
 from .partitions import PartitionTuple, list_partitions, w_admissible
-from .schur import SchurBlock, _b_table
+from .schur import SchurBlock
 from .wstates import WClassState, phi_hat, w_normal_form
 
 EXACT_CAP = 18
-FLOAT_CAP = 24
 
 WeightTuple = tuple[int, ...]
 QTuple = tuple[tuple[int, ...], ...]
@@ -68,6 +67,8 @@ def _single_copy_amplitudes(state) -> dict[tuple[int, ...], SqrtRational]:
         N = dim.bit_length() - 1
         if 2**N != dim:
             raise ValueError("raw amplitude list length must be a power of two")
+        if not all(isinstance(a, (SqrtRational, Fraction, int)) for a in state):
+            raise ValueError("raw amplitudes must be exact (int, Fraction or SqrtRational)")
         out = {}
         for idx, a in enumerate(state):
             a = a if isinstance(a, SqrtRational) else SqrtRational.from_rational(a)
@@ -103,20 +104,12 @@ def _num_parties(state) -> int:
 
 @dataclass
 class DenseState:
-    """Explicit amplitudes of psi^(x)n over {0,1}^(N*n).
-
-    Exact mode stores a sparse dict {index: SqrtRational}; float mode a dense
-    numpy vector of length 2^(N*n).
-    """
+    """Exact amplitudes of psi^(x)n over {0,1}^(N*n), stored as a sparse dict
+    {index: SqrtRational}."""
 
     num_parties: int
     copies: int
-    mode: str
-    amplitudes: dict[int, SqrtRational] | np.ndarray
-
-    @property
-    def num_qubits(self) -> int:
-        return self.num_parties * self.copies
+    amplitudes: dict[int, SqrtRational]
 
     def index_of(self, stuple: tuple[tuple[int, ...], ...]) -> int:
         idx = 0
@@ -130,41 +123,20 @@ class DenseState:
         bits = [(idx >> (N * n - 1 - p)) & 1 for p in range(N * n)]
         return tuple(tuple(bits[i * n : (i + 1) * n]) for i in range(N))
 
-    def norm_sq(self):
-        if self.mode == "exact":
-            return sum((v.square() for v in self.amplitudes.values()), Fraction(0))
-        return float(np.vdot(self.amplitudes, self.amplitudes).real)
-
-    def to_float_vector(self) -> np.ndarray:
-        if self.mode == "float":
-            return self.amplitudes
-        v = np.zeros(2**self.num_qubits)
-        for idx, a in self.amplitudes.items():
-            v[idx] = float(a)
-        return v
+    def norm_sq(self) -> Fraction:
+        return sum((v.square() for v in self.amplitudes.values()), Fraction(0))
 
 
-def tensor_power(state, n: int, mode: str | None = None) -> DenseState:
-    """Explicit amplitudes of state^(x)n; raw amplitude lists are accepted in
-    place of a state object (length 2^N, exact scalars or floats)."""
-    if isinstance(state, (list, tuple, np.ndarray)):
-        return _tensor_power_raw(state, n, mode)
-    N = _num_parties(state)
-    nq = N * n
-    if mode is None:
-        mode = "exact" if nq <= EXACT_CAP else "float"
-    if nq > (EXACT_CAP if mode == "exact" else FLOAT_CAP):
-        raise SizeCapError(f"{nq} qubits exceeds the {mode}-mode cap")
+def tensor_power(state, n: int) -> DenseState:
+    """Exact amplitudes of state^(x)n, at most EXACT_CAP qubits in total; a raw
+    amplitude list (length 2^N, exact scalars) is accepted in place of a state
+    object."""
     single = _single_copy_amplitudes(state)
-    amps = _tensor_exact(single, N, n)
-    out = DenseState(N, n, mode, {})
-    if mode == "exact":
-        out.amplitudes = {out.index_of(k): v for k, v in amps.items()}
-    else:
-        v = np.zeros(2**nq)
-        for k, a in amps.items():
-            v[out.index_of(k)] = float(a)
-        out.amplitudes = v
+    N = _num_parties(state)
+    if N * n > EXACT_CAP:
+        raise SizeCapError(f"{N * n} qubits exceeds the {EXACT_CAP}-qubit dense cap")
+    out = DenseState(N, n, {})
+    out.amplitudes = {out.index_of(k): v for k, v in _tensor_exact(single, N, n).items()}
     return out
 
 
@@ -183,35 +155,6 @@ def _tensor_exact(single, num_parties: int, n: int):
     return amps
 
 
-def _tensor_power_raw(amp_list, n: int, mode: str | None) -> DenseState:
-    dim = len(amp_list)
-    N = dim.bit_length() - 1
-    if 2**N != dim:
-        raise ValueError("raw amplitude list length must be a power of two")
-    nq = N * n
-    exact = all(isinstance(a, (SqrtRational, Fraction, int)) for a in amp_list)
-    if mode is None:
-        mode = "exact" if exact and nq <= EXACT_CAP else "float"
-    if nq > (EXACT_CAP if mode == "exact" else FLOAT_CAP):
-        raise SizeCapError(f"{nq} qubits exceeds the {mode}-mode cap")
-    if mode == "exact":
-        if not exact:
-            raise ValueError("exact mode requires exact amplitudes")
-        state = DenseState(N, n, "exact", {})
-        amps = _tensor_exact(_single_copy_amplitudes(tuple(amp_list)), N, n)
-        state.amplitudes = {state.index_of(k): v for k, v in amps.items()}
-        return state
-    vec = np.array([float(a) for a in amp_list])
-    out = vec
-    for _ in range(n - 1):
-        out = np.kron(out, vec)
-    # kron over copies is copy-major; reorder to the party-major contract
-    t = out.reshape((2,) * (N * n))
-    perm = [k * N + i for i in range(N) for k in range(n)]
-    t = np.transpose(t, perm)
-    return DenseState(N, n, "float", t.reshape(-1))
-
-
 @dataclass
 class SectorBlock:
     """Sector content as a matrix over (weight-tuple rows) x (q-tuple columns)."""
@@ -219,40 +162,35 @@ class SectorBlock:
     lams: PartitionTuple
     weights: list[WeightTuple]
     qlabels: list[QTuple]
-    entries: list[list[RadicalSum]] | np.ndarray
-    mode: str
+    entries: list[list[RadicalSum]]
 
-    def norm_sq(self):
-        if self.mode == "exact":
-            total = RadicalSum.zero()
-            for row in self.entries:
-                for x in row:
-                    total = total + x * x
-            q = total.as_rational()
-            if q is None:
-                raise InconsistencyError("sector norm is not rational")
-            return q
-        return float(np.sum(self.entries**2))
+    def norm_sq(self) -> Fraction:
+        total = RadicalSum.zero()
+        for row in self.entries:
+            for x in row:
+                total = total + x * x
+        q = total.as_rational()
+        if q is None:
+            raise InconsistencyError("sector norm is not rational")
+        return q
 
     def float_matrix(self) -> np.ndarray:
-        if self.mode == "float":
-            return self.entries
         return np.array([[float(x) for x in row] for row in self.entries])
 
 
 @lru_cache(maxsize=None)
 def _party_columns(n: int):
-    """Per computational string s: list of ((lam, omega, q), coeff) rows."""
+    """Per computational string s: list of ((lam, omega, q), coeff) rows,
+    lexicographic in q (the order multilocal_schur's sector dict follows)."""
+    rows = [item for lam in list_partitions(n) for item in SchurBlock(lam, n).items()]
     cols: dict[tuple[int, ...], list] = {}
-    for (lam, om, q), col in _b_table(n).items():
+    for label, col in sorted(rows, key=lambda item: item[0].q):
         for s, v in col.items():
-            cols.setdefault(s, []).append(((lam, om, q), v))
+            cols.setdefault(s, []).append(((label.lam, label.omega, label.q), v))
     return cols
 
 
 def multilocal_schur(state: DenseState) -> dict[PartitionTuple, SectorBlock]:
-    if state.mode == "float":
-        return _multilocal_schur_float(state)
     n, N = state.copies, state.num_parties
     cols = _party_columns(n)
     # keys: per-party entries are raw bit tuples, replaced party by party with labels
@@ -282,7 +220,7 @@ def multilocal_schur(state: DenseState) -> dict[PartitionTuple, SectorBlock]:
             [data.get((om, qt), RadicalSum.zero()) for qt in qlabels]
             for om in weights
         ]
-        out[lams] = SectorBlock(lams, weights, qlabels, entries, "exact")
+        out[lams] = SectorBlock(lams, weights, qlabels, entries)
     return out
 
 
@@ -301,43 +239,6 @@ def sector_grid(lams: PartitionTuple) -> tuple[list[WeightTuple], list[QTuple]]:
     return weights, qlabels
 
 
-def _multilocal_schur_float(state: DenseState) -> dict[PartitionTuple, SectorBlock]:
-    n, N = state.copies, state.num_parties
-    lams_list = list_partitions(n)
-    blocks = [SchurBlock(lam, n) for lam in lams_list]
-    u = np.vstack([b.float_matrix() for b in blocks])
-    starts = np.cumsum([0] + [len(b.rows) for b in blocks])
-    t = state.to_float_vector().reshape((2**n,) * N)
-    for i in range(N):
-        t = np.tensordot(u, t, axes=([1], [i]))
-        t = np.moveaxis(t, 0, i)
-    out = {}
-    for combo in np.ndindex(*([len(lams_list)] * N)):
-        lams = PartitionTuple(tuple(lams_list[c] for c in combo))
-        sub = t
-        for i, c in enumerate(combo):
-            sl = [slice(None)] * N
-            sl[i] = slice(starts[c], starts[c + 1])
-            sub = sub[tuple(sl)]
-        if float(np.abs(sub).max(initial=0.0)) < 1e-14:
-            continue
-        dims_v = [lams_list[c].nu + 1 for c in combo]
-        dims_s = [len(blocks[c].paths) for c in combo]
-        sub = sub.reshape([d for c in combo for d in (lams_list[c].nu + 1, len(blocks[c].paths))])
-        order = list(range(0, 2 * N, 2)) + list(range(1, 2 * N, 2))
-        m = np.transpose(sub, order).reshape(int(np.prod(dims_v)), int(np.prod(dims_s)))
-        weights = [
-            tuple(lams[i].lambda2 + w for i, w in enumerate(combo_w))
-            for combo_w in np.ndindex(*dims_v)
-        ]
-        qlabels = [
-            tuple(blocks[combo[i]].paths[j] for i, j in enumerate(combo_q))
-            for combo_q in np.ndindex(*dims_s)
-        ]
-        out[lams] = SectorBlock(lams, weights, qlabels, m, "float")
-    return out
-
-
 def residual_schmidt(block: SectorBlock) -> list[float]:
     """Singular values of the sector matrix, normalized to unit square sum."""
     m = block.float_matrix()
@@ -350,7 +251,7 @@ def residual_schmidt(block: SectorBlock) -> list[float]:
 
 @lru_cache(maxsize=None)
 def _w_sectors(num_parties: int, n: int):
-    return multilocal_schur(tensor_power(w_normal_form(num_parties), n, mode="exact"))
+    return multilocal_schur(tensor_power(w_normal_form(num_parties), n))
 
 
 def oracle_khat(lams: PartitionTuple, n: int) -> KroneckerVector:
@@ -419,8 +320,8 @@ def sector_distribution(state, n: int) -> list[tuple[PartitionTuple, Fraction]]:
             for lams in all_partition_tuples(state.num_parties, n)
         ]
     elif isinstance(state, (list, tuple)):
-        sectors = multilocal_schur(tensor_power(state, n, mode="exact"))
-        out = [(lams, Fraction(b.norm_sq())) for lams, b in sectors.items()]
+        sectors = multilocal_schur(tensor_power(state, n))
+        out = [(lams, b.norm_sq()) for lams, b in sectors.items()]
     else:
         raise TypeError("sector_distribution needs a WClassState, GHZState or amplitude list")
     out = [(lams, p) for lams, p in out if p > 0]
@@ -472,7 +373,7 @@ def sample_run(state, n: int, seed: int) -> dict:
         desc["gram_spectrum"] = ghzmod.schmidt_spectrum(g) if g.weights else []
     else:
         desc["kind"] = "residual-ensemble"
-        block = multilocal_schur(tensor_power(state, n, mode="exact"))[lams]
+        block = multilocal_schur(tensor_power(state, n))[lams]
         desc["schmidt"] = residual_schmidt(block)
     return desc
 

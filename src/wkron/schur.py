@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 from .exact import RadicalSum, SqrtRational
 from .partitions import TwoRowPartition
 
@@ -177,17 +175,6 @@ class SchurBlock:
     def items(self):
         return zip(self.rows, self._cols)
 
-    def float_matrix(self) -> np.ndarray:
-        """Dense rows-by-2^n float rendering; column index has s_1 as MSB."""
-        m = np.zeros((len(self.rows), 2**self.n))
-        for i, col in enumerate(self._cols):
-            for s, v in col.items():
-                idx = 0
-                for b in s:
-                    idx = (idx << 1) | b
-                m[i, idx] = float(v)
-        return m
-
 
 def schur_block(lam: TwoRowPartition, n: int) -> SchurBlock:
     return SchurBlock(lam, n)
@@ -267,8 +254,4 @@ def rep_matrix(lam: TwoRowPartition, perm: tuple[int, ...]) -> list[list[Radical
                 if w is not None:
                     out[i][j] = out[i][j] + RadicalSum.from_sqrt(w * v)
     return out
-
-
-def rep_matrix_float(lam: TwoRowPartition, perm: tuple[int, ...]) -> np.ndarray:
-    return np.array([[float(x) for x in row] for row in rep_matrix(lam, perm)])
 

@@ -134,7 +134,7 @@ def test_criterion_05_wclass_universality():
     for _ in range(5):
         state = rand_state()
         for n in (1, 2, 3, 4):
-            sectors = multilocal_schur(tensor_power(state, n, mode="exact"))
+            sectors = multilocal_schur(tensor_power(state, n))
             for lams, block in sectors.items():
                 m = block.float_matrix()
                 sv = np.linalg.svd(m, compute_uv=False)

@@ -41,8 +41,7 @@ def test_kron_round_trip_bit_identical(capsys, tmp_path):
     assert kv.coeffs == direct.coeffs
 
 
-@pytest.mark.parametrize("fmt, indent", [("json", 1), ("csv", None)])
-def test_kron_text_is_one_json_dumps(capsys, tmp_path, fmt, indent):
+def test_kron_text_is_one_json_dumps(capsys, tmp_path):
     # the text is written in pieces; it must read as one json.dumps, on
     # stdout and in --out alike; (5,2)^3 spans several pieces
     from wkron.kronstate import eta, khat, normalized, to_table_json
@@ -53,11 +52,11 @@ def test_kron_text_is_one_json_dumps(capsys, tmp_path, fmt, indent):
     kv = khat(3, 7, lams)
     table = to_table_json(normalized(kv))
     table.update(eta=eta(kv).to_json(), p_w=str(p_w(lams)), kron_coeff=kron_coeff(lams))
-    code, out, _ = run(["kron", "--lambda", "5,2;5,2;5,2", "--format", fmt], capsys)
+    code, out, _ = run(["kron", "--lambda", "5,2;5,2;5,2"], capsys)
     assert code == 0
-    assert out == json.dumps(table, indent=indent) + "\n"
+    assert out == json.dumps(table, indent=1) + "\n"
     path = tmp_path / "t.json"
-    assert main(["kron", "--lambda", "5,2;5,2;5,2", "--format", fmt, "--out", str(path)]) == 0
+    assert main(["kron", "--lambda", "5,2;5,2;5,2", "--out", str(path)]) == 0
     assert path.read_text() == out
 
 
@@ -137,7 +136,7 @@ def test_prob_ghz_equals_dense_oracle(capsys, alpha, n):
     code, out, _ = run(["prob", "--copies", str(n), "--state", f"ghz:{alpha}"], capsys)
     assert code == 0
     rows = list(csv.DictReader(io.StringIO(out)))
-    sectors = multilocal_schur(tensor_power(GHZState(Fraction(alpha), 3), n, mode="exact"))
+    sectors = multilocal_schur(tensor_power(GHZState(Fraction(alpha), 3), n))
     oracle = {str(lams): Fraction(b.norm_sq()) for lams, b in sectors.items()}
     assert {r["lambda"]: Fraction(r["p"]) for r in rows} == {
         lam: p for lam, p in oracle.items() if p
@@ -153,6 +152,7 @@ def test_prob_ghz_equals_dense_oracle(capsys, alpha, n):
         ["prob", "--copies", "2", "--seed", "1"],
         ["verify", "--parties", "4"],
         ["ghz-spectrum", "--copies", "3", "--format", "json"],
+        ["kron", "--lambda", "2,1;2,1;2,1", "--format", "csv"],
     ],
 )
 def test_unread_flags_exit_2(capsys, argv):

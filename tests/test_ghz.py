@@ -48,6 +48,9 @@ def test_louck_matches_bsum_single_case():
     th = JointWeight(1, 0, 0, 1)  # s = s' of weight 1, x = 0
     assert louck(lam, 1, 1, th) == louck_bsum(lam, 1, 1, th)
     assert louck(lam, 1, 1, th) == sq("1/4")  # value 1/2
+    # weights outside lam's range give zero in both definitions
+    lam, th = TwoRowPartition(1, 1), JointWeight(1, 1, 0, 0)
+    assert louck(lam, 0, 1, th) == louck_bsum(lam, 0, 1, th) == SqrtRational.zero()
 
 
 def test_louck_identity_representation():
@@ -263,7 +266,7 @@ def test_gram_matches_dense_oracle():
 
     alpha = Fraction(1, 3)
     for n in range(2, 6):
-        sectors = multilocal_schur(tensor_power(GHZState(alpha, 3), n, mode="exact"))
+        sectors = multilocal_schur(tensor_power(GHZState(alpha, 3), n))
         for lams, block in sectors.items():
             g = gram(lams, alpha, n)
             if not g.weights:

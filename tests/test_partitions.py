@@ -98,7 +98,7 @@ def test_kron_coeff_equals_invariant_nullity():
 
     import numpy as np
 
-    from wkron.schur import perm_from_cycle_type, rep_matrix_float
+    from wkron.schur import rep_matrix
 
     for num_parties in (3, 4):
         for n in range(2, 6):
@@ -111,9 +111,10 @@ def test_kron_coeff_equals_invariant_nullity():
             for lams in lams_iter:
                 gram = None
                 for perm in (swap, cyc):
-                    big = rep_matrix_float(lams[0], perm)
-                    for lam in lams[1:]:
-                        big = np.kron(big, rep_matrix_float(lam, perm))
+                    big = np.ones((1, 1))
+                    for lam in lams:
+                        rep = [[float(x) for x in row] for row in rep_matrix(lam, perm)]
+                        big = np.kron(big, rep)
                     a = big - np.eye(big.shape[0])
                     gram = a.T @ a if gram is None else gram + a.T @ a
                 nullity = int(np.sum(np.linalg.eigvalsh(gram) < 1e-8))

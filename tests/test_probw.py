@@ -99,7 +99,7 @@ def test_p_psi_equals_oracle_projection_norm():
     states = [_random_w_state(rng, 3) for _ in range(5)]
     for state in states:
         for n in (1, 2, 3):
-            sectors = multilocal_schur(tensor_power(state, n, mode="exact"))
+            sectors = multilocal_schur(tensor_power(state, n))
             for lams in all_partition_tuples(3, n):
                 oracle_p = sectors[lams].norm_sq() if lams in sectors else Fraction(0)
                 assert p_psi(state, lams) == oracle_p, (state, lams)
@@ -116,7 +116,7 @@ def test_p_psi_bell_state_vs_oracle():
     bell = WClassState((Fraction(0), Fraction(1, 2), Fraction(1, 2)))
     for n in (2, 4):
         lams = ptuple((n, 0), (n, 0))
-        sectors = multilocal_schur(tensor_power(bell, n, mode="exact"))
+        sectors = multilocal_schur(tensor_power(bell, n))
         assert p_psi(bell, lams) == sectors[lams].norm_sq()
 
 

@@ -4,7 +4,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from wkron import ghz
 from wkron.exact import SqrtRational
 from wkron.kronstate import khat, normalized
 from wkron.partitions import ptuple, reduced_entropy, w_admissible
@@ -30,13 +33,13 @@ def sq(x):
 
 def test_tensor_power_w_single_copy():
     w = w_normal_form(3)
-    d = tensor_power(w, 1, mode="exact")
+    d = tensor_power(w, 1)
     assert d.amplitudes == {0b100: sq("1/3"), 0b010: sq("1/3"), 0b001: sq("1/3")}
 
 
 def test_tensor_power_w_two_copies():
     w = w_normal_form(3)
-    d = tensor_power(w, 2, mode="exact")
+    d = tensor_power(w, 2)
     assert len(d.amplitudes) == 9
     assert all(v == sq("1/9") for v in d.amplitudes.values())
     assert d.norm_sq() == 1
@@ -44,7 +47,7 @@ def test_tensor_power_w_two_copies():
 
 def test_tensor_power_ghz():
     g = GHZState(Fraction(1, 3), 3)
-    d = tensor_power(g, 2, mode="exact")
+    d = tensor_power(g, 2)
     # patterns: (00,00,00),(01,01,01),(10,10,10),(11,11,11) in party-major bits
     vals = sorted(v.square() for v in d.amplitudes.values())
     assert len(d.amplitudes) == 4
@@ -54,14 +57,15 @@ def test_tensor_power_ghz():
 
 def test_tensor_power_size_cap():
     with pytest.raises(SizeCapError):
-        tensor_power(w_normal_form(3), 7, mode="exact")  # 21 qubits > 18
-    with pytest.raises(SizeCapError):
-        tensor_power(w_normal_form(3), 9, mode="float")  # 27 > 24
+        tensor_power(w_normal_form(3), 7)  # 21 qubits > 18
+    # a float entry would otherwise become a binary fraction silently
+    with pytest.raises(ValueError, match="exact"):
+        tensor_power([0.5, SqrtRational.sqrt(Fraction(3, 4)), 0, 0], 1)
 
 
 def test_bit_layout_party_major():
     w = w_normal_form(2)
-    d = tensor_power(w, 2, mode="exact")
+    d = tensor_power(w, 2)
     # |psi> = (|10>+|01>)/sqrt2 per copy; party-major: party0 bits then party1
     # copy pattern (10),(01) -> party0 = "10", party1 = "01" -> index 0b1001
     assert 0b1001 in d.amplitudes
@@ -71,7 +75,7 @@ def test_bit_layout_party_major():
 
 def test_multilocal_schur_w_sectors():
     w = w_normal_form(3)
-    sectors = multilocal_schur(tensor_power(w, 2, mode="exact"))
+    sectors = multilocal_schur(tensor_power(w, 2))
     expect = {
         ptuple((2, 0), (2, 0), (2, 0)),
         ptuple((2, 0), (1, 1), (1, 1)),
@@ -85,7 +89,7 @@ def test_multilocal_schur_w_sectors():
 def test_multilocal_schur_product_state():
     raw = [SqrtRational.one(), SqrtRational.zero()] * 4
     raw = [SqrtRational.one()] + [SqrtRational.zero()] * 7  # |000>
-    d = tensor_power(raw, 3, mode="exact")
+    d = tensor_power(raw, 3)
     sectors = multilocal_schur(d)
     assert set(sectors) == {ptuple((3, 0), (3, 0), (3, 0))}
     assert sectors[ptuple((3, 0), (3, 0), (3, 0))].norm_sq() == 1
@@ -94,27 +98,38 @@ def test_multilocal_schur_product_state():
 def test_block_norms_sum_to_one_exact():
     for state in (w_normal_form(3), GHZState(Fraction(2, 5), 3)):
         for n in (2, 3, 4):
-            sectors = multilocal_schur(tensor_power(state, n, mode="exact"))
+            sectors = multilocal_schur(tensor_power(state, n))
             assert sum(b.norm_sq() for b in sectors.values()) == 1
 
 
-def test_float_path_matches_exact_sector_matrices():
-    w = w_normal_form(3)
-    for n in (2, 3):
-        se = multilocal_schur(tensor_power(w, n, mode="exact"))
-        sf = multilocal_schur(tensor_power(w, n, mode="float"))
-        assert set(se) == set(sf)
-        for lams in se:
-            assert se[lams].weights == sf[lams].weights
-            assert se[lams].qlabels == sf[lams].qlabels
-            diff = np.abs(se[lams].float_matrix() - sf[lams].float_matrix()).max()
-            assert diff < 1e-12, lams
+@st.composite
+def _w_class_case(draw):
+    """Weights k/24 (c0 may be 0) with N in {3, 4} and N*n <= 12 qubits."""
+    N = draw(st.sampled_from((3, 4)))
+    cuts = sorted(draw(st.lists(st.integers(0, 24), min_size=N, max_size=N)))
+    ks = [b - a for a, b in zip([0] + cuts, cuts + [24])]
+    assume(sum(1 for k in ks[1:] if k) >= 2)
+    return tuple(Fraction(k, 24) for k in ks), draw(st.integers(1, 12 // N))
+
+
+@settings(max_examples=20, deadline=None)
+@given(_w_class_case())
+def test_dense_distribution_of_raw_list_equals_closed_form(case):
+    c, n = case
+    N = len(c) - 1
+    raw = [0] * 2**N
+    raw[0] = SqrtRational.sqrt(c[0])
+    for i in range(1, N + 1):
+        raw[1 << (N - i)] = SqrtRational.sqrt(c[i])
+    dense = sector_distribution(raw, n)
+    closed = sector_distribution(WClassState(c), n)
+    assert dict(dense) == dict(closed)
 
 
 def test_residual_schmidt_w_rank1():
     w = w_normal_form(3)
     for n in (2, 3, 4):
-        sectors = multilocal_schur(tensor_power(w, n, mode="exact"))
+        sectors = multilocal_schur(tensor_power(w, n))
         for lams, block in sectors.items():
             sv = residual_schmidt(block)
             assert abs(sv[0] - 1) < 1e-12
@@ -122,17 +137,22 @@ def test_residual_schmidt_w_rank1():
 
 
 def test_residual_schmidt_ghz_rank2():
-    g = GHZState(Fraction(1, 3), 3)
-    sectors = multilocal_schur(tensor_power(g, 6, mode="float"))
-    block = sectors[ptuple((4, 2), (4, 2), (4, 2))]
-    sv = residual_schmidt(block)
+    # (4,2)^3 is the first rank-2 sector of GHZ(1/3) for n = 3..6; its squared
+    # singular values are the closed-form Gram spectrum
+    alpha = Fraction(1, 3)
+    lams = ptuple((4, 2), (4, 2), (4, 2))
+    sectors = multilocal_schur(tensor_power(GHZState(alpha, 3), 6))
+    sv = residual_schmidt(sectors[lams])
     assert sv[0] < 1
     assert sv[1] > 0.1
+    spectrum = ghz.schmidt_spectrum(ghz.gram(lams, alpha, 6))
+    spectrum += [0.0] * (len(sv) - len(spectrum))
+    assert max(abs(s * s - g) for s, g in zip(sv, spectrum)) < 1e-12
 
 
 def test_residual_schmidt_ghz_sector_rank1():
     g = GHZState(Fraction(1, 3), 3)
-    sectors = multilocal_schur(tensor_power(g, 2, mode="exact"))
+    sectors = multilocal_schur(tensor_power(g, 2))
     sv = residual_schmidt(sectors[ptuple((2, 0), (2, 0), (2, 0))])
     assert abs(sv[0] - 1) < 1e-12
 
@@ -176,7 +196,7 @@ def test_theorem1_universality_random_states():
     for _ in range(5):
         state = rand_state()
         for n in (2, 3, 4):
-            sectors = multilocal_schur(tensor_power(state, n, mode="exact"))
+            sectors = multilocal_schur(tensor_power(state, n))
             for lams, block in sectors.items():
                 m = block.float_matrix()
                 sv = np.linalg.svd(m, compute_uv=False)

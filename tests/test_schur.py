@@ -93,9 +93,10 @@ def test_schur_block_triplet_rows():
 
 def test_schur_block_identity_n1():
     block = schur_block(TwoRowPartition(1, 0), 1)
-    mat = block.float_matrix()
-    assert mat.shape == (2, 2)
-    assert abs(mat - [[1, 0], [0, 1]]).max() == 0
+    assert [(lbl.omega, lbl.q, col) for lbl, col in block.items()] == [
+        (0, (0,), {(0,): SqrtRational.one()}),
+        (1, (0,), {(1,): SqrtRational.one()}),
+    ]
 
 
 def _dot(col1, col2):
