@@ -8,8 +8,11 @@ need.  Sums of SqrtRationals are deliberately *not* part of the public ring:
 every exact summation in the package is either provably rational or shares a
 common radical that the caller factors out first.  The one internal exception
 is :class:`RadicalSum`, a private accumulator over squarefree radicands used
-by the brute-force oracle and the S_n representation matrices; it collapses
-back to a single SqrtRational (or raises) at module boundaries.
+by the S_n representation matrices and for the brute-force oracle's sector
+entries; it collapses back to a single SqrtRational (or raises) at module
+boundaries.  The oracle's inner loop sums integer numerators per radical
+class instead, from :meth:`SqrtRational.radical_parts`, the one place that
+splits a value into its squarefree radical and rational factor.
 """
 
 from __future__ import annotations
@@ -113,6 +116,16 @@ class SqrtRational:
             return self.sign * Fraction(rn, rd)
         return None
 
+    def radical_parts(self) -> tuple[int, int, int]:
+        """(d, num, den) with self == num/den * sqrt(d), d squarefree and den
+        the radicand's denominator; num/den need not be reduced.  Zero has no
+        radical class and raises ValueError."""
+        if self.sign == 0:
+            raise ValueError("zero has no radical class")
+        num, den = self.radicand.numerator, self.radicand.denominator
+        m, d = _squarefree(num * den)  # sqrt(num/den) = sqrt(num*den)/den
+        return d, self.sign * m, den
+
     def __float__(self) -> float:
         return self.sign * math.sqrt(self.radicand.numerator / self.radicand.denominator)
 
@@ -177,9 +190,8 @@ class RadicalSum:
     def from_sqrt(x: SqrtRational) -> "RadicalSum":
         if x.sign == 0:
             return RadicalSum()
-        num, den = x.radicand.numerator, x.radicand.denominator
-        m, d = _squarefree(num * den)  # sqrt(num/den) = sqrt(num*den)/den
-        return RadicalSum({d: Fraction(x.sign * m, den)})
+        d, num, den = x.radical_parts()
+        return RadicalSum({d: Fraction(num, den)})
 
     @staticmethod
     def from_rational(q) -> "RadicalSum":

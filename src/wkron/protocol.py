@@ -3,9 +3,13 @@
 Builds the n-fold tensor power of a state explicitly, applies the multilocal
 Schur transform party by party, projects sectors, extracts the residual
 Schmidt structure, and samples measurement outcomes.  The oracle is exact:
-every amplitude is a SqrtRational and sector entries are accumulated in the
-internal radical-sum ring, so the recurrence can be checked against it with
-zero tolerance.  It is capped at EXACT_CAP qubits in total.
+every amplitude and every B coefficient is split by
+`SqrtRational.radical_parts` into (num/den) * sqrt(d) with d squarefree, and
+sector entries are accumulated as integer numerators per radical class over
+one common denominator (the lcm of the amplitude denominators times the
+per-party B denominator to the power N).  They become RadicalSums only when
+the sector blocks are built, so the recurrence can be checked against them
+with zero tolerance.  It is capped at EXACT_CAP qubits in total.
 
 Bit layout (part of the contract): amplitude index is an (N*n)-bit integer,
 party-major, with party i's copy-k qubit at bit position i*n + k counted from
@@ -180,44 +184,71 @@ class SectorBlock:
 
 @lru_cache(maxsize=None)
 def _party_columns(n: int):
-    """Per computational string s: list of ((lam, omega, q), coeff) rows,
+    """(cols, D, labels): cols maps each computational string s to its
+    nonzero B coefficients as (j, d, K) with B = K/D * sqrt(d), d squarefree,
+    D one common denominator and labels[j] = (lam, omega, q).  Labels are
     lexicographic in q (the order multilocal_schur's sector dict follows)."""
-    rows = [item for lam in list_partitions(n) for item in SchurBlock(lam, n).items()]
-    cols: dict[tuple[int, ...], list] = {}
-    for label, col in sorted(rows, key=lambda item: item[0].q):
+    rows = sorted(
+        (item for lam in list_partitions(n) for item in SchurBlock(lam, n).items()),
+        key=lambda item: item[0].q,
+    )
+    labels = [(label.lam, label.omega, label.q) for label, _ in rows]
+    split: dict[tuple[int, ...], list] = {}
+    for j, (_, col) in enumerate(rows):
         for s, v in col.items():
-            cols.setdefault(s, []).append(((label.lam, label.omega, label.q), v))
-    return cols
+            split.setdefault(s, []).append((j, *v.radical_parts()))
+    D = math.lcm(*(den for col in split.values() for *_, den in col))
+    cols = {
+        s: [(j, d, num * (D // den)) for j, d, num, den in col] for s, col in split.items()
+    }
+    return cols, D, labels
 
 
 def multilocal_schur(state: DenseState) -> dict[PartitionTuple, SectorBlock]:
     n, N = state.copies, state.num_parties
-    cols = _party_columns(n)
-    # keys: per-party entries are raw bit tuples, replaced party by party with labels
-    current: dict[tuple, RadicalSum] = {
-        state.stuple_of(idx): RadicalSum.from_sqrt(a)
+    cols, D, labels = _party_columns(n)
+    # keys: per-party entries are raw bit tuples, replaced party by party with
+    # label indices; a value {d: c} is sum(c * sqrt(d)) / (A * D**parties_done)
+    parts = {
+        state.stuple_of(idx): a.radical_parts()
         for idx, a in state.amplitudes.items()
+        if not a.is_zero
     }
+    A = math.lcm(*(den for _, _, den in parts.values()))
+    current = {key: {d: num * (A // den)} for key, (d, num, den) in parts.items()}
     for i in range(N):
-        nxt: dict[tuple, RadicalSum] = {}
+        nxt: dict[tuple, dict[int, int]] = {}
         for key, val in current.items():
-            for label, coeff in cols.get(key[i], ()):
-                nk = key[:i] + (label,) + key[i + 1 :]
+            for j, e, k in cols.get(key[i], ()):
+                nk = key[:i] + (j,) + key[i + 1 :]
                 acc = nxt.get(nk)
-                term = val * RadicalSum.from_sqrt(coeff)
-                nxt[nk] = term if acc is None else acc + term
-        current = {k: v for k, v in nxt.items() if not v.is_zero}
+                if acc is None:
+                    acc = nxt[nk] = {}
+                for d, c in val.items():
+                    g = math.gcd(d, e)
+                    r = (d // g) * (e // g)
+                    t = acc.get(r, 0) + c * k * g
+                    if t:
+                        acc[r] = t
+                    else:
+                        del acc[r]
+        current = {k: v for k, v in nxt.items() if v}
+    den = A * D**N
     sectors: dict[PartitionTuple, dict[tuple[WeightTuple, QTuple], RadicalSum]] = {}
     for key, val in current.items():
-        lams = PartitionTuple(tuple(lbl[0] for lbl in key))
-        om = tuple(lbl[1] for lbl in key)
-        qt = tuple(lbl[2] for lbl in key)
-        sectors.setdefault(lams, {})[(om, qt)] = val
+        lbls = [labels[j] for j in key]
+        lams = PartitionTuple(tuple(lbl[0] for lbl in lbls))
+        om = tuple(lbl[1] for lbl in lbls)
+        qt = tuple(lbl[2] for lbl in lbls)
+        sectors.setdefault(lams, {})[(om, qt)] = RadicalSum(
+            {d: Fraction(c, den) for d, c in val.items()}
+        )
     out = {}
+    zero = RadicalSum.zero()  # shared by empty cells: no caller mutates a RadicalSum
     for lams, data in sectors.items():
         weights, qlabels = sector_grid(lams)
         entries = [
-            [data.get((om, qt), RadicalSum.zero()) for qt in qlabels]
+            [data.get((om, qt), zero) for qt in qlabels]
             for om in weights
         ]
         out[lams] = SectorBlock(lams, weights, qlabels, entries)
@@ -324,7 +355,11 @@ def sector_distribution(state, n: int) -> list[tuple[PartitionTuple, Fraction]]:
         out = [(lams, b.norm_sq()) for lams, b in sectors.items()]
     else:
         raise TypeError("sector_distribution needs a WClassState, GHZState or amplitude list")
-    out = [(lams, p) for lams, p in out if p > 0]
+    return _nonzero_normalized(out)
+
+
+def _nonzero_normalized(rows) -> list[tuple[PartitionTuple, Fraction]]:
+    out = [(lams, p) for lams, p in rows if p > 0]
     total = sum(p for _, p in out)
     if total != 1:
         raise InconsistencyError(f"sector probabilities sum to {total}, not 1")
@@ -344,7 +379,10 @@ def sample_outcomes(state, n: int, seed: int, count: int) -> list[PartitionTuple
     """
     if count < 0:
         raise ValueError(f"cannot draw {count} samples")
-    dist = sector_distribution(state, n)
+    return _draw(sector_distribution(state, n), seed, count)
+
+
+def _draw(dist, seed: int, count: int) -> list[PartitionTuple]:
     cdf = list(accumulate(p for _, p in dist))  # ends at exactly 1 > u
     rng = random.Random(seed)
     return [
@@ -354,8 +392,17 @@ def sample_outcomes(state, n: int, seed: int, count: int) -> list[PartitionTuple
 
 
 def sample_run(state, n: int, seed: int) -> dict:
-    """One protocol run: measured sector plus the concentrated-state description."""
-    lams = sample_outcomes(state, n, seed, 1)[0]
+    """One protocol run: measured sector plus the concentrated-state description.
+
+    The outcome is the first draw of `sample_outcomes(state, n, seed, 1)`; for a
+    raw amplitude list one dense oracle run gives both the distribution and the
+    measured block."""
+    if isinstance(state, (list, tuple)):
+        sectors = multilocal_schur(tensor_power(state, n))
+        dist = _nonzero_normalized((lams, b.norm_sq()) for lams, b in sectors.items())
+    else:
+        dist = sector_distribution(state, n)
+    lams = _draw(dist, seed, 1)[0]
     desc: dict = {"outcome": lams}
     if isinstance(state, WClassState):
         from .kronstate import sector_dims
@@ -373,8 +420,7 @@ def sample_run(state, n: int, seed: int) -> dict:
         desc["gram_spectrum"] = ghzmod.schmidt_spectrum(g) if g.weights else []
     else:
         desc["kind"] = "residual-ensemble"
-        block = multilocal_schur(tensor_power(state, n))[lams]
-        desc["schmidt"] = residual_schmidt(block)
+        desc["schmidt"] = residual_schmidt(sectors[lams])
     return desc
 
 
@@ -428,8 +474,17 @@ def verify_report(cases=((3, 5), (4, 4)), pool_map=map) -> dict:
     """Oracle-vs-recurrence master suite: exact comparison of every sector.
 
     Returns {"ok": bool, "cases": [...]}; mismatches list offending sectors.
-    `pool_map` may be a multiprocessing map for per-case parallelism.
+    `pool_map` may be a multiprocessing map for per-case parallelism.  Each
+    (N, nmax) is checked before any case runs: nmax 0 skips N, a negative
+    nmax raises ValueError and N*nmax above EXACT_CAP raises SizeCapError.
     """
+    for N, nmax in cases:
+        if nmax < 0:
+            raise ValueError(f"N={N}: nmax must be >= 0, got {nmax}")
+        if N * nmax > EXACT_CAP:
+            raise SizeCapError(
+                f"N={N}, n={nmax}: {N * nmax} qubits exceeds the {EXACT_CAP}-qubit dense cap"
+            )
     jobs = [(N, n) for N, nmax in cases for n in range(1, nmax + 1)]
     entries = list(pool_map(_verify_case_star, jobs))
     ok = all(not e["mismatches"] for e in entries)

@@ -41,14 +41,14 @@ def _report(num: int, ok: bool, detail: str):
 
 
 def test_criterion_01_oracle_equivalence():
-    rep = verify_report(cases=((3, 5), (4, 4)))
+    rep = verify_report(cases=((3, 6), (4, 4)))
     sectors = sum(c["sectors"] for c in rep["cases"])
     empty = sum(c["empty_checked"] for c in rep["cases"])
     _report(
         1,
         rep["ok"],
         f"recurrence == dense oracle exactly on {sectors} sectors "
-        f"(+{empty} empty), N=3 n<=5 and N=4 n<=4, zero tolerance",
+        f"(+{empty} empty), N=3 n<=6 and N=4 n<=4, zero tolerance",
     )
 
 

@@ -98,6 +98,9 @@ def test_kron_parties_mismatch_exit_2(capsys):
         (["prob", "--parties", "3", "--state", "1/2,1/4,1/4", "--copies", "2"], "inconsistent"),
         (["sample", "--parties", "4", "--state", "0,1/3,1/3,1/3", "--copies", "2"],
          "inconsistent"),
+        (["verify", "--nmax3", "-1"], "nmax must be >= 0"),
+        # refused before the n <= 6 cases run
+        (["verify", "--nmax3", "7", "--nmax4", "1"], "21 qubits exceeds the 18-qubit dense cap"),
     ],
 )
 def test_out_of_range_input_exit_2(capsys, argv, reason):

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from wkron import ghz
-from wkron.exact import SqrtRational
+from wkron import ghz, protocol
+from wkron.exact import RadicalSum, SqrtRational
 from wkron.kronstate import khat, normalized
 from wkron.partitions import ptuple, reduced_entropy, w_admissible
 from wkron.protocol import (
     GHZState,
     SizeCapError,
+    all_partition_tuples,
     marginal_entropy,
     multilocal_schur,
     oracle_khat,
@@ -21,9 +22,11 @@ from wkron.protocol import (
     sample_outcomes,
     sample_run,
     sector_distribution,
+    sector_grid,
     tensor_power,
     verify_report,
 )
+from wkron.schur import SchurLabel, b_coeff
 from wkron.wstates import WClassState, w_normal_form
 
 
@@ -124,6 +127,64 @@ def test_dense_distribution_of_raw_list_equals_closed_form(case):
     dense = sector_distribution(raw, n)
     closed = sector_distribution(WClassState(c), n)
     assert dict(dense) == dict(closed)
+
+
+def _signed_root(k: int, negative: bool) -> SqrtRational:
+    x = SqrtRational.sqrt(Fraction(k, 24))
+    return -x if negative else x
+
+
+_exact_amplitude = st.one_of(
+    st.integers(-3, 3),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6)),
+    st.builds(_signed_root, st.integers(0, 24), st.booleans()),
+)
+
+
+@st.composite
+def _raw_case(draw):
+    """A raw list of signed, unnormalized exact amplitudes, N in {2, 3} and
+    N*n <= 9 qubits."""
+    N = draw(st.sampled_from((2, 3)))
+    raw = draw(st.lists(_exact_amplitude, min_size=2**N, max_size=2**N))
+    return raw, draw(st.integers(1, 9 // N))
+
+
+@settings(max_examples=25, deadline=None)
+@given(_raw_case())
+def test_multilocal_schur_equals_b_sum(case):
+    # every sector entry is sum_s amp(s) * prod_i B(label_i, s_i), and the
+    # sectors carry the whole norm (sum |a|^2)^n of the unnormalized input
+    raw, n = case
+    dense = tensor_power(raw, n)
+    sectors = multilocal_schur(dense)
+    by_weights: dict = {}
+    for idx, a in dense.amplitudes.items():
+        s = dense.stuple_of(idx)
+        by_weights.setdefault(tuple(map(sum, s)), []).append((s, a))
+    total = RadicalSum.zero()
+    for lams in all_partition_tuples(dense.num_parties, n):
+        block = sectors.get(lams)
+        weights, qlabels = sector_grid(lams)
+        for i, om in enumerate(weights):
+            for j, qt in enumerate(qlabels):
+                labels = [SchurLabel(lam, w, q) for lam, w, q in zip(lams, om, qt)]
+                direct = RadicalSum.zero()
+                # B(label, s) vanishes unless s has the label's weight
+                for s, a in by_weights.get(om, ()):
+                    term = a
+                    for label, si in zip(labels, s):
+                        term = term * b_coeff(label, si)
+                    direct = direct + RadicalSum.from_sqrt(term)
+                got = block.entries[i][j] if block else RadicalSum.zero()
+                assert got == direct, (lams, om, qt)
+                total = total + got * got
+    one_copy = sum(
+        (x.square() if isinstance(x, SqrtRational) else Fraction(x) ** 2 for x in raw),
+        Fraction(0),
+    )
+    # one sector's norm may be irrational when radicals mix, so sum x*x over all
+    assert total.as_rational() == one_copy**n
 
 
 def test_residual_schmidt_w_rank1():
@@ -278,6 +339,32 @@ def test_sample_product_state_always_top_sector():
     assert r["outcome"] == ptuple((2, 0), (2, 0), (2, 0))
     assert r["kind"] == "residual-ensemble"
     assert abs(r["schmidt"][0] - 1) < 1e-12
+
+
+def test_sample_run_raw_list_runs_the_oracle_once(monkeypatch):
+    raw = [Fraction(v, 5) for v in (3, -2, 2, 0, 0, 2, 0, -2)]
+    blocks = multilocal_schur(tensor_power(raw, 4))
+    calls = []
+
+    def counting(state):
+        calls.append(state.copies)
+        return multilocal_schur(state)
+
+    monkeypatch.setattr(protocol, "multilocal_schur", counting)
+    for seed, lams in [
+        (0, ptuple((3, 1), (4, 0), (3, 1))),
+        (2, ptuple((3, 1), (3, 1), (2, 2))),
+        (7, ptuple((3, 1), (2, 2), (3, 1))),
+        (20, ptuple((3, 1), (3, 1), (3, 1))),
+    ]:
+        calls.clear()
+        r = sample_run(raw, 4, seed)
+        assert calls == [4]
+        assert r["outcome"] == lams
+        assert r["kind"] == "residual-ensemble"
+        assert r["schmidt"] == residual_schmidt(blocks[lams])
+        assert abs(r["schmidt"][0] - 1) < 1e-12
+        assert sample_outcomes(raw, 4, seed, 1) == [lams]
 
 
 def test_marginal_entropy_product_is_zero():
