@@ -1,17 +1,18 @@
 """Exact sector probabilities for n copies of the W state, two ways.
 
 Route one counts joint sequence pairs (a rational sum over joint weights and
-the free tensor components); route two multiplies the squared recurrence norm
-eta^2 by the fiducial-state norm Z.  Both are exact rationals and agree term
-by term; the distribution concentrates around the reduced spectrum (2/3, 1/3)
-as n grows.
+the free tensor components; `p_w_counting`, kept as a test oracle); route two
+multiplies the squared norm eta^2 of the built Kronecker vector by the
+fiducial-state norm Z, which is what `p_w` computes from a scalar eta^2
+recurrence.  Both are exact rationals and agree term by term; the
+distribution concentrates around the reduced spectrum (2/3, 1/3) as n grows.
 """
 
 from fractions import Fraction
 
 from wkron.kronstate import eta, khat_all
 from wkron.partitions import reduced_entropy
-from wkron.probw import p_w
+from wkron.probw import p_w, p_w_counting
 from wkron.protocol import all_partition_tuples, marginal_entropy, sample_outcomes
 from wkron.wstates import w_normal_form, z_norm
 
@@ -21,7 +22,7 @@ print("n = 3 sector table (p via counting, via eta^2 Z, both exact):")
 sectors = khat_all(3, 3)
 total = Fraction(0)
 for lams in all_partition_tuples(3, 3):
-    p = p_w(lams)
+    p = p_w_counting(lams)
     total += p
     if p:
         p2 = eta(sectors[lams]).square() * z_norm(w, lams)

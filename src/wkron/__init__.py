@@ -6,7 +6,7 @@ spectra, and a dense Schur-transform oracle that cross-validates everything.
 from .covariants import base_form, theorem2_form, transvectant, verify_proportional
 from .exact import Rational, SqrtRational, sym_eig
 from .ghz import gram, hahn_eberlein, louck, overlap, schmidt_spectrum
-from .kronstate import KroneckerVector, eta, khat, normalized, verify_lemma1
+from .kronstate import KroneckerVector, eta, eta_sq, khat, normalized, verify_lemma1
 from .partitions import (
     PartitionTuple,
     TwoRowPartition,
@@ -58,6 +58,7 @@ __all__ = [
     "KroneckerVector",
     "khat",
     "eta",
+    "eta_sq",
     "normalized",
     "verify_lemma1",
     "base_form",

@@ -18,6 +18,7 @@ from fractions import Fraction
 from itertools import islice
 
 from . import covariants, ghz, kronstate, probw, protocol
+from .exact import SqrtRational
 from .partitions import kron_coeff, parse_partition_tuple, w_admissible
 from .wstates import parse_w_state, w_normal_form
 
@@ -68,7 +69,7 @@ def cmd_kron(args) -> int:
         print(f"sector {lams} carries no Kronecker support", file=sys.stderr)
         return 2
     table = kronstate.to_table_json(kronstate.normalized(kv))
-    table["eta"] = kronstate.eta(kv).to_json()
+    table["eta"] = SqrtRational.sqrt(kronstate.eta_sq(lams)).to_json()
     table["p_w"] = str(probw.p_w(lams))
     table["kron_coeff"] = kron_coeff(lams)
     _write_json(table, args.out, indent=1)

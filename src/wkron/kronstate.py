@@ -8,6 +8,12 @@ sector: a sector at level n is assembled from its predecessors at level n-1,
 so one sector costs only its down-set.  The recurrence assigns nonzero formal
 values to sectors outside the W-class admissible set, whose physical amplitude
 is zero; those are zeroed at every recursion depth before propagating.
+
+The squared norm eta^2 follows a scalar recurrence of its own, because the
+pieces a sector gets from different predecessors are orthogonal:
+`eta_sq_table` walks it level by level, without recursion and without
+building a coefficient.  It is the eta^2 of every sector probability
+(`probw`) and of `wkron kron`'s `eta` field.
 """
 
 from __future__ import annotations
@@ -139,6 +145,70 @@ def khat_all(num_parties: int, n: int) -> dict[PartitionTuple, KroneckerVector]:
         if not kv.is_zero:
             out[kv.lams] = kv
     return out
+
+
+def eta_sq_table(sectors) -> dict[PartitionTuple, Fraction]:
+    """Squared norm eta^2 = khat(...).norm_sq() of each sector, all of one
+    (N, n), without building a coefficient.
+
+    In `_sector_coeffs` every predecessor lams - qn is extended by its own
+    final bit tuple qn, so the pieces are orthogonal and
+        eta^2(lams) = sum_qn f(lams, qn)^2 * eta^2(lams - qn),
+    with eta^2 = 1 at n = 1.  A sector is keyed by its second-row lengths.
+    The walk first collects the union of the targets' admissible down-sets
+    level by level, then fills eta^2 from n = 1 upward, keeping only the
+    previous level's values.  Inadmissible targets read 0.
+    """
+    sectors = list(sectors)
+    if not sectors:
+        return {}
+    num_parties, n = sectors[0].num_parties, sectors[0].n
+    if any(s.num_parties != num_parties or s.n != n for s in sectors):
+        raise ValueError("sectors must share one (N, n)")
+    moves = list(product((0, 1), repeat=num_parties))
+    # levels[m - 1]: second-row tuples of the down-set at level m
+    top = {tuple(lam.lambda2 for lam in s) for s in sectors if w_admissible(s)}
+    levels = [top]
+    for m in range(n, 1, -1):
+        levels.append({p for b in levels[-1] for p, _ in _predecessors(b, m, moves)})
+    levels.reverse()
+    prev = {b: Fraction(1) for b in levels[0]}
+    for m in range(2, n + 1):
+        cur = {}
+        for b in levels[m - 1]:
+            total = Fraction(0)
+            for p, qn in _predecessors(b, m, moves):
+                # f_coeff(lams, qn, m)^2 = num^2 / den, from second-row lengths
+                num = m
+                den = 1
+                for bi, q in zip(b, qn):
+                    num -= m - bi + 1 if q else bi
+                    den *= m - 2 * bi + 2 * q
+                if num:
+                    total += Fraction(num * num, den) * prev[p]
+            cur[b] = total
+        prev = cur
+    # a second-row tuple fixes the sector at level n; inadmissible ones are absent
+    return {s: prev.get(tuple(lam.lambda2 for lam in s), Fraction(0)) for s in sectors}
+
+
+def _predecessors(b: tuple[int, ...], m: int, moves):
+    """(second-row tuple, qn) of each admissible sector at level m - 1 from
+    which the recurrence reaches b at level m: qn[i] = 1 removes party i's
+    last second-row box, 0 its last first-row box."""
+    for qn in moves:
+        p = tuple(bi - q for bi, q in zip(b, qn))
+        # a first-row box can go only while the first row stays the longer
+        if any(pi < 0 or 2 * pi > m - 1 for pi in p):
+            continue
+        s = sum(p)
+        if s <= m - 1 and all(2 * pi <= s for pi in p):
+            yield p, qn
+
+
+def eta_sq(lams: PartitionTuple) -> Fraction:
+    """eta^2 of one sector; walks only its down-set."""
+    return eta_sq_table([lams])[lams]
 
 
 def eta(k: KroneckerVector) -> SqrtRational:

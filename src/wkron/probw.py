@@ -1,6 +1,13 @@
-"""Exact sector probabilities for the W state via joint-weight counting, with
-the constant-term identity as a cross-check, and general W-class
-probabilities through the sector normalization constant.
+"""Exact W-class sector probabilities.
+
+A W-class sector factorises as phi_hat(psi) (x) khat(lams), so every sector
+probability is p(psi, lams) = Z(psi, lams) * eta^2(lams): the fiducial norm
+`wstates.z_norms` times the Kronecker-state norm `kronstate.eta_sq_table`.
+That is the only route `p_w`, `p_psi` and `sector_probabilities` take.
+
+The joint-weight counting route (`p_w_counting` over `_z_count_cached`,
+with the constant-term identity `z_count_ct` as its own cross-check) has no
+production caller; it stays here as a test oracle for `p_w`.
 """
 
 from __future__ import annotations
@@ -10,8 +17,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .ghz import JointWeight, louck_diag
-from .partitions import PartitionTuple, w_admissible
-from .wstates import WClassState, _weight_tuples, w_normal_form, z_norm
+from .kronstate import eta_sq_table
+from .partitions import PartitionTuple
+from .wstates import WClassState, _weight_tuples, w_normal_form, z_norms
 
 WeightTuple = tuple[int, ...]
 
@@ -136,8 +144,8 @@ def theta_for(omega: int, x: int, n: int) -> JointWeight:
     return JointWeight(n - omega - x, x, x, omega - x)
 
 
-def p_w(lams: PartitionTuple) -> Fraction:
-    """Exact probability of projecting W^(x)n onto the sector lams."""
+def p_w_counting(lams: PartitionTuple) -> Fraction:
+    """p_w by joint-weight counting over Louck values; a test oracle."""
     from .partitions import dim_irrep
 
     n = lams.n
@@ -169,19 +177,25 @@ def p_w(lams: PartitionTuple) -> Fraction:
     return Fraction(f_all, num_parties**n) * total
 
 
-def p_psi(state: WClassState, lams: PartitionTuple) -> Fraction:
-    """Probability of the sector for a general W-class state, through the
-    state-independent normalization: p = eta^2 * Z(psi) with
-    eta^2 = p(W)/Z(W)."""
-    if state.num_parties != lams.num_parties:
+def sector_probabilities(state: WClassState, sectors) -> list[Fraction]:
+    """p(psi, lams) = Z(psi, lams) * eta^2(lams) of each sector, all of one
+    (N, n): one eta^2 walk and one set of party polynomials serve them all,
+    and Z is computed only where eta^2 is nonzero."""
+    sectors = list(sectors)
+    if any(s.num_parties != state.num_parties for s in sectors):
         raise ValueError("party count mismatch")
-    if not w_admissible(lams):
-        return Fraction(0)
-    w = w_normal_form(lams.num_parties)
-    zw = z_norm(w, lams)
-    pw = p_w(lams)
-    if zw == 0:
-        if pw != 0:
-            raise AssertionError(f"admissible sector {lams} has Z(W)=0 but p(W)={pw}")
-        return Fraction(0)
-    return pw / zw * z_norm(state, lams)
+    eta2 = eta_sq_table(sectors)
+    live = [s for s in sectors if eta2[s]]
+    z = dict(zip(live, z_norms(state, live)))
+    return [z[s] * eta2[s] if s in z else Fraction(0) for s in sectors]
+
+
+def p_w(lams: PartitionTuple) -> Fraction:
+    """Exact probability of projecting W^(x)n onto the sector lams."""
+    return sector_probabilities(w_normal_form(lams.num_parties), [lams])[0]
+
+
+def p_psi(state: WClassState, lams: PartitionTuple) -> Fraction:
+    """Probability of the sector lams for a W-class state; walks only the
+    sector's down-set."""
+    return sector_probabilities(state, [lams])[0]

@@ -175,7 +175,12 @@ class SectorBlock:
                 total = total + x * x
         q = total.as_rational()
         if q is None:
-            raise InconsistencyError("sector norm is not rational")
+            # amplitudes of mixed radical classes can leave Q; that is bad
+            # input for an exact-rational distribution, not a contradiction
+            raise ValueError(
+                f"sector {self.lams}: squared norm {total} is not rational "
+                f"(radical classes {sorted(total.terms)})"
+            )
         return q
 
     def float_matrix(self) -> np.ndarray:
@@ -335,16 +340,15 @@ def all_partition_tuples(num_parties: int, n: int):
 def sector_distribution(state, n: int) -> list[tuple[PartitionTuple, Fraction]]:
     """Exact outcome distribution over partition tuples, nonzero entries only.
 
-    W-class states use `probw.p_psi` and GHZ states the Louck-polynomial sum
-    `ghz.sector_probability`, both closed forms with no size cap; this is the
-    route of `wkron prob` and `wkron sample`.  Raw amplitude lists fall back
-    to the exact dense oracle within its cap.
+    W-class states use `probw.sector_probabilities` (Z * eta^2, one eta^2
+    walk over level n for every sector) and GHZ states the Louck-polynomial
+    sum `ghz.sector_probability`, both closed forms with no size cap; this is
+    the route of `wkron prob` and `wkron sample`.  Raw amplitude lists fall
+    back to the exact dense oracle within its cap.
     """
     if isinstance(state, WClassState):
-        out = [
-            (lams, probw.p_psi(state, lams))
-            for lams in all_partition_tuples(state.num_parties, n)
-        ]
+        sectors = list(all_partition_tuples(state.num_parties, n))
+        out = zip(sectors, probw.sector_probabilities(state, sectors))
     elif isinstance(state, GHZState):
         out = [
             (lams, ghzmod.sector_probability(lams, state.alpha))

@@ -1,5 +1,7 @@
-"""W-class normal-form states, the factorial weight factors, and the fiducial
-(unnormalized) weight-side states of the sector decomposition.
+"""W-class normal-form states, the factorial weight factors, the fiducial
+(unnormalized) weight-side states of the sector decomposition, and their
+squared norm Z, which `z_norms` takes from polynomial products without
+building the states.
 
 A W-class state is stored through its probability weights c^(0..N): the state
 is sqrt(c0)|0..0> + sum_i sqrt(ci)|1_i>.  Keeping the squares rational makes
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import SqrtRational
-from .partitions import PartitionTuple, TwoRowPartition
+from .partitions import PartitionTuple, TwoRowPartition, w_admissible
 
 WeightTuple = tuple[int, ...]
 
@@ -107,8 +109,6 @@ def phi_hat(state: WClassState, lams: PartitionTuple) -> PhiState:
     Inadmissible sectors return an empty map: there the generating covariant
     vanishes identically even though the raw weight sum would not.
     """
-    from .partitions import w_admissible
-
     if state.num_parties != lams.num_parties:
         raise ValueError("party count mismatch")
     if not w_admissible(lams):
@@ -131,5 +131,70 @@ def phi_hat(state: WClassState, lams: PartitionTuple) -> PhiState:
 
 
 def z_norm(state: WClassState, lams: PartitionTuple) -> Fraction:
-    """Exact squared norm of the fiducial state."""
-    return phi_hat(state, lams).norm_sq()
+    """Exact squared norm of the fiducial state, sum_omega |phi_hat_omega|^2."""
+    return z_norms(state, [lams])[0]
+
+
+def z_norms(state: WClassState, sectors) -> list[Fraction]:
+    """z_norm of each sector, all of one n, from polynomial products.
+
+    Z(psi, lams) = sum_omega c0^w0/w0!^2 * prod_i ci^wi * A(lams_i, wi) is
+    the coefficient sum of c0^(n-k)/(n-k)!^2 against [t^k] of the product of
+    the party polynomials P_i(t) = sum_w ci^w * A(lams_i, w) * t^w, truncated
+    at degree n: O(N n^2) per sector.  With ci = ai/D, A(lam, w) * nu! =
+    (nu - j)! * nu!/j! (nu = lambda1 - lambda2, j = w - lambda2) and
+    c0^k/k!^2 * n!^2 = a0^k * (n!/k!)^2 times D^-k, every coefficient is an
+    integer; the common denominator D^n * n!^2 * prod_i nu_i! is divided out
+    once per sector.  Each party polynomial, and each product over all
+    parties but the last, is built once per call.  Inadmissible sectors
+    read 0, as phi_hat is empty there.
+    """
+    sectors = list(sectors)
+    if not sectors:
+        return []
+    if any(s.num_parties != state.num_parties for s in sectors):
+        raise ValueError("party count mismatch")
+    n = sectors[0].n
+    if any(s.n != n for s in sectors):
+        raise ValueError("sectors must share one n")
+    den_c = math.lcm(*(x.denominator for x in state.c))
+    a = [x.numerator * (den_c // x.denominator) for x in state.c]
+    fn = math.factorial(n)
+    polys: dict[tuple[int, TwoRowPartition], list[int]] = {}
+    heads: dict[tuple[TwoRowPartition, ...], list[int]] = {
+        (): [a[0] ** k * (fn // math.factorial(k)) ** 2 for k in range(n + 1)]
+    }
+
+    def poly(i: int, lam: TwoRowPartition) -> list[int]:
+        p = polys.get((i, lam))
+        if p is None:
+            nu = lam.nu
+            p = polys[(i, lam)] = [0] * lam.lambda2 + [
+                a[i + 1] ** (lam.lambda2 + j)
+                * math.factorial(nu - j)
+                * (math.factorial(nu) // math.factorial(j))
+                for j in range(nu + 1)
+            ]
+        return p
+
+    def head(parts: tuple[TwoRowPartition, ...]) -> list[int]:
+        # the c0 series times the polynomials of parts, truncated at degree n
+        h = heads.get(parts)
+        if h is None:
+            prev, p = head(parts[:-1]), poly(len(parts) - 1, parts[-1])
+            h = heads[parts] = [
+                sum(p[j] * prev[k - j] for j in range(min(k, len(p) - 1) + 1))
+                for k in range(n + 1)
+            ]
+        return h
+
+    den_n = den_c**n * fn**2
+    out = []
+    for s in sectors:
+        if not w_admissible(s):
+            out.append(Fraction(0))
+            continue
+        h, p = head(s.parts[:-1]), poly(s.num_parties - 1, s[-1])
+        num = sum(pj * h[n - j] for j, pj in enumerate(p))
+        out.append(Fraction(num, den_n * math.prod(math.factorial(lam.nu) for lam in s)))
+    return out

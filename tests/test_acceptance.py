@@ -28,6 +28,7 @@ from wkron.probw import p_w, theta_for, z_count, z_count_ct
 from wkron.protocol import (
     all_partition_tuples,
     multilocal_schur,
+    sector_distribution,
     tensor_power,
     verify_report,
 )
@@ -105,7 +106,8 @@ def test_criterion_03_lemma1_exact():
 
 def test_criterion_04_probability_consistency():
     ok = True
-    for num_parties, nmax in ((3, 5), (4, 4)):
+    # up to the benchmark prob workload's sizes
+    for num_parties, nmax in ((3, 12), (4, 8)):
         for n in range(1, nmax + 1):
             total = sum(p_w(l) for l in all_partition_tuples(num_parties, n))
             ok = ok and total == 1
@@ -116,7 +118,12 @@ def test_criterion_04_probability_consistency():
                 ok = ok and p_w(lams) == eta(kv).square() * z_norm(w, lams)
     ok = ok and p_w(ptuple((2, 0), (2, 0), (2, 0))) == Fraction(2, 3)
     ok = ok and p_w(ptuple((2, 0), (1, 1), (1, 1))) == Fraction(1, 9)
-    _report(4, ok, "sum p_w = 1 exactly; p_w = eta^2 Z exactly; spot values 2/3 and 1/9")
+    _report(
+        4,
+        ok,
+        "sum p_w = 1 exactly (N=3 n<=12, N=4 n<=8); p_w = eta^2 Z exactly; "
+        "spot values 2/3 and 1/9",
+    )
 
 
 def test_criterion_05_wclass_universality():
@@ -353,9 +360,12 @@ def test_criterion_10_concentration_trend():
     best = max(all_partition_tuples(3, 12), key=p_w)
     devs = [abs(Fraction(lam.lambda2, 12) - Fraction(1, 3)) for lam in best]
     ok = all(d <= Fraction(2, 12) for d in devs)
+    # at n=24 the mode sits exactly on lambda2/n = 1/3 for every party
+    best24 = max(sector_distribution(w_normal_form(3), 24), key=lambda row: row[1])[0]
+    ok = ok and best24 == ptuple((16, 8), (16, 8), (16, 8))
     _report(
         10,
         ok,
         f"p_w mode at n=12 is {best} with per-party |lambda2/n - 1/3| = "
-        f"{[str(d) for d in devs]} (<= 2/12)",
+        f"{[str(d) for d in devs]} (<= 2/12); at n=24 it is {best24}",
     )

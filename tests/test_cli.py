@@ -1,7 +1,9 @@
 import csv
 import io
 import json
+import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -234,3 +236,31 @@ def test_deterministic_outputs(capsys, tmp_path):
     assert main(["prob", "--copies", "3", "--state", "0,1/2,1/4,1/4", "--out", str(a)]) == 0
     assert main(["prob", "--copies", "3", "--state", "0,1/2,1/4,1/4", "--out", str(b)]) == 0
     assert a.read_text() == b.read_text()
+
+
+def _symmetric_p_w(num_parties: int, n: int) -> Fraction:
+    """p_w of (n,0)^N by projecting every party onto its Dicke states:
+    N^-n * sum over k_1+...+k_N = n of (n!/prod k_i!)^2 / prod C(n, k_i)."""
+    total = Fraction(0)
+    for ks in product(range(n + 1), repeat=num_parties):
+        if sum(ks) == n:
+            multi = math.factorial(n) // math.prod(math.factorial(k) for k in ks)
+            total += Fraction(multi * multi, math.prod(math.comb(n, k) for k in ks))
+    return total / num_parties**n
+
+
+@pytest.mark.parametrize("lam, num_parties, n", [("24,0;24,0;24,0", 3, 24),
+                                                 ("10,0;10,0;10,0;10,0", 4, 10)])
+def test_kron_thin_sector_p_w_closed_form(capsys, lam, num_parties, n):
+    code, out, err = run(["kron", "--lambda", lam], capsys)
+    assert code == 0, err
+    table = json.loads(out)
+    assert len(table["entries"]) == 1
+    assert Fraction(table["p_w"]) == _symmetric_p_w(num_parties, n)
+
+
+def test_symmetric_p_w_closed_form_matches_counting_route():
+    from wkron.probw import p_w_counting
+
+    assert _symmetric_p_w(3, 12) == p_w_counting(ptuple((12, 0), (12, 0), (12, 0)))
+    assert _symmetric_p_w(3, 12) == Fraction(30194, 52612659)

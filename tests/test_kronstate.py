@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,8 @@ from wkron.exact import RadicalSum, SqrtRational
 from wkron.kronstate import (
     KroneckerVector,
     eta,
+    eta_sq,
+    eta_sq_table,
     f_coeff,
     from_table_json,
     khat,
@@ -18,7 +21,7 @@ from wkron.kronstate import (
     verify_lemma1,
     verify_lemma1_float,
 )
-from wkron.partitions import ptuple, w_admissible
+from wkron.partitions import kron_coeff, ptuple, w_admissible
 from wkron.probw import p_w
 from wkron.protocol import all_partition_tuples
 from wkron.schur import rep_matrix, standard_paths
@@ -192,3 +195,38 @@ def test_khat_shares_paths_and_values():
     for i, lam in enumerate(lams):
         assert len({id(qt[i]) for qt in kv.coeffs}) <= 2**3 * len(standard_paths(lam))
     assert len(set(kv.coeffs.values())) * 4 < len(kv.coeffs)
+
+
+def test_eta_sq_equals_khat_norm():
+    for num_parties, nmax in ((2, 9), (3, 7), (4, 5)):
+        for n in range(1, nmax + 1):
+            sectors = list(all_partition_tuples(num_parties, n))
+            table = eta_sq_table(sectors)
+            for lams in sectors:
+                assert table[lams] == khat(num_parties, n, lams).norm_sq(), lams
+                assert eta_sq(lams) == table[lams], lams
+
+
+def test_eta_sq_positive_iff_admissible_with_kronecker_support():
+    count = positive = 0
+    for num_parties, nmax in ((2, 10), (3, 8), (4, 6)):
+        for n in range(1, nmax + 1):
+            sectors = list(all_partition_tuples(num_parties, n))
+            table = eta_sq_table(sectors)
+            for lams in sectors:
+                count += 1
+                positive += table[lams] > 0
+                assert (table[lams] > 0) == (w_admissible(lams) and kron_coeff(lams) >= 1), lams
+    assert (count, positive) == (920, 354)
+
+
+def test_eta_sq_deep_thin_sector_is_iterative():
+    # one chain of 1000 levels: each all-first-row step has f^2 = 1/m
+    lams = ptuple((1000, 0), (1000, 0), (1000, 0))
+    assert eta_sq(lams) == Fraction(1, math.factorial(1000))
+
+
+def test_eta_sq_table_validates_input():
+    assert eta_sq_table([]) == {}
+    with pytest.raises(ValueError):
+        eta_sq_table([ptuple((2, 0), (2, 0), (2, 0)), ptuple((3, 0), (3, 0), (3, 0))])

@@ -8,7 +8,15 @@ import pytest
 from wkron.ghz import JointWeight
 from wkron.kronstate import eta, khat_all
 from wkron.partitions import ptuple
-from wkron.probw import p_psi, p_w, theta_for, z_count, z_count_ct
+from wkron.probw import (
+    p_psi,
+    p_w,
+    p_w_counting,
+    sector_probabilities,
+    theta_for,
+    z_count,
+    z_count_ct,
+)
 from wkron.protocol import all_partition_tuples, multilocal_schur, tensor_power
 from wkron.wstates import WClassState, w_normal_form, z_norm
 
@@ -77,6 +85,21 @@ def test_p_w_sums_to_one():
         for n in range(1, nmax + 1):
             total = sum(p_w(lams) for lams in all_partition_tuples(num_parties, n))
             assert total == 1, (num_parties, n)
+
+
+def test_p_w_equals_counting_route():
+    for num_parties, nmax in ((3, 7), (4, 5)):
+        for n in range(1, nmax + 1):
+            for lams in all_partition_tuples(num_parties, n):
+                assert p_w(lams) == p_w_counting(lams), lams
+
+
+def test_sector_probabilities_equal_single_sector_calls():
+    state = WClassState((Fraction(1, 8), Fraction(5, 24), Fraction(1, 3), Fraction(1, 3)))
+    sectors = list(all_partition_tuples(3, 6))
+    assert sector_probabilities(state, sectors) == [p_psi(state, lams) for lams in sectors]
+    with pytest.raises(ValueError):
+        sector_probabilities(state, [ptuple((2, 0), (2, 0))])
 
 
 def test_p_w_equals_eta_sq_times_z():

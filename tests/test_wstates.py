@@ -6,7 +6,13 @@ import pytest
 
 from wkron.covariants import theorem2_form
 from wkron.exact import SqrtRational
-from wkron.partitions import TwoRowPartition, list_partitions, ptuple, w_admissible
+from wkron.partitions import (
+    PartitionTuple,
+    TwoRowPartition,
+    list_partitions,
+    ptuple,
+    w_admissible,
+)
 from wkron.wstates import (
     WClassState,
     a_factor,
@@ -14,6 +20,7 @@ from wkron.wstates import (
     phi_hat,
     w_normal_form,
     z_norm,
+    z_norms,
 )
 
 
@@ -71,6 +78,36 @@ def test_z_norm_examples():
     assert z_norm(w, ptuple((2, 0), (2, 0), (2, 0))) == Fraction(4, 3)
     assert z_norm(w, ptuple((2, 0), (1, 1), (1, 1))) == Fraction(2, 9)
     assert z_norm(w, ptuple((1, 1), (1, 1), (1, 1))) == 0
+
+
+def test_z_norm_equals_phi_hat_norm():
+    # the polynomial route against the explicit vector, zero weights included
+    states = {
+        2: [w_normal_form(2), WClassState((Fraction(1, 3), Fraction(1, 6), Fraction(1, 2)))],
+        3: [
+            w_normal_form(3),
+            WClassState((Fraction(1, 8), Fraction(5, 24), Fraction(1, 3), Fraction(1, 3))),
+            WClassState((Fraction(0), Fraction(1, 2), Fraction(1, 2), Fraction(0))),
+        ],
+        4: [WClassState((Fraction(1, 12), Fraction(1, 4), Fraction(1, 6), Fraction(1, 3),
+                         Fraction(1, 6)))],
+    }
+    for num_parties, nmax in ((2, 8), (3, 6), (4, 4)):
+        for state in states[num_parties]:
+            for n in range(1, nmax + 1):
+                sectors = [PartitionTuple(c) for c in product(list_partitions(n), repeat=num_parties)]
+                zs = z_norms(state, sectors)
+                for lams, z in zip(sectors, zs):
+                    assert z == phi_hat(state, lams).norm_sq() == z_norm(state, lams), lams
+
+
+def test_z_norms_validates_input():
+    w = w_normal_form(3)
+    assert z_norms(w, []) == []
+    with pytest.raises(ValueError):
+        z_norms(w, [ptuple((1, 0), (1, 0))])
+    with pytest.raises(ValueError):
+        z_norms(w, [ptuple((1, 0), (1, 0), (1, 0)), ptuple((2, 0), (2, 0), (2, 0))])
 
 
 def test_support_empty_iff_inadmissible_or_lattice_empty():
