@@ -63,15 +63,15 @@ def cmd_kron(args) -> int:
     if not w_admissible(lams):
         print(f"inadmissible partition tuple {lams}", file=sys.stderr)
         return 2
-    n = lams.n
-    kv = kronstate.khat(lams.num_parties, n, lams)
+    k = kron_coeff(lams)  # first: its budget refuses large n before khat runs
+    kv = kronstate.khat(lams.num_parties, lams.n, lams)
     if kv.is_zero:
         print(f"sector {lams} carries no Kronecker support", file=sys.stderr)
         return 2
     table = kronstate.to_table_json(kronstate.normalized(kv))
     table["eta"] = SqrtRational.sqrt(kronstate.eta_sq(lams)).to_json()
     table["p_w"] = str(probw.p_w(lams))
-    table["kron_coeff"] = kron_coeff(lams)
+    table["kron_coeff"] = k
     _write_json(table, args.out, indent=1)
     return 0
 

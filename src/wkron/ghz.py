@@ -4,8 +4,11 @@ spectra.
 
 The Louck values C(theta) = (1/f) sum_q B_s B_s' depend only on the joint
 sequence weight theta of (s, s').  They factor as a rational Hahn-Eberlein
-hypergeometric sum times a radical that depends on the weights only, so Gram
-entries stay exact; floats enter only at the eigendecomposition.
+hypergeometric sum times a radical that depends on the weights only.  Each
+3F2 is kept as integer numerators M[x] over one common denominator D per
+(lambda, omega_lt, omega_gt), so an overlap sums integers over theta and
+builds a single Fraction at the end; the Gram matrix computes each
+symmetric pair once.  Floats enter only at the eigendecomposition.
 """
 
 from __future__ import annotations
@@ -18,9 +21,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exact import RadicalSum, SqrtRational, sym_eig
+from .exact import SqrtRational, sym_eig
 from .partitions import PartitionTuple, TwoRowPartition, dim_irrep
-from .schur import SchurLabel, b_coeff, standard_paths
 from .wstates import a_factor
 
 
@@ -65,38 +67,66 @@ def multinomial_theta(theta: JointWeight) -> int:
 
 
 def hahn_eberlein(lam: TwoRowPartition, omega_lt: int, omega_gt: int, x: int) -> Fraction:
-    """Terminating 3F2(1) sum; exact rational.
+    """Terminating 3F2(1) sum with upper parameters (-lambda2, -x,
+    lambda2 - n - 1) and lower parameters (-omega_lt, omega_gt - n); exact
+    rational M[x]/D from `_louck_numerators`.
 
-    Upper parameters (-lambda2, -x, lambda2 - n - 1), lower parameters
-    (-omega_lt, omega_gt - n).  The sum terminates at k = min(lambda2, x);
-    within the compatible parameter range no zero denominator is reached.
+    Defined for lambda2 <= omega_lt <= omega_gt <= lambda1, where no zero
+    denominator is reached.  M is a polynomial of degree lambda2 in x, so an
+    x outside the tabulated joint-weight range is read off the table's
+    forward differences.
     """
-    n = lam.size
-    a1, a2, a3 = -lam.lambda2, -x, lam.lambda2 - n - 1
-    b1, b2 = -omega_lt, omega_gt - n
-    total = Fraction(1)
-    term = Fraction(1)
-    k = 0
-    while True:
-        num = (a1 + k) * (a2 + k) * (a3 + k)
-        if num == 0:
-            return total
-        den = (b1 + k) * (b2 + k) * (k + 1)
-        if den == 0:
-            raise ValueError("parameters outside the terminating range")
-        term *= Fraction(num, den)
-        total += term
-        k += 1
+    if not (lam.lambda2 <= omega_lt <= omega_gt <= lam.lambda1):
+        raise ValueError("parameters outside the terminating range")
+    m, d = _louck_numerators(lam, omega_lt, omega_gt)
+    if 0 <= x < len(m):
+        return Fraction(m[x], d)
+    total, binom, diffs = 0, 1, list(m)
+    for k in range(len(m)):
+        total += diffs[0] * binom
+        binom = binom * (x - k) // (k + 1)
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    return Fraction(total, d)
 
 
-@lru_cache(maxsize=None)
-def _louck_parts(lam: TwoRowPartition, omega: int, omega_p: int, x10: int):
-    """(rational factor, radicand) with the radical sqrt(A_lt/A_gt) split off."""
-    n = lam.size
-    olt, ogt = min(omega, omega_p), max(omega, omega_p)
-    pref = Fraction(math.factorial(olt) * math.factorial(n - ogt), math.factorial(n))
-    rad = a_factor(lam, olt) / a_factor(lam, ogt)
-    return pref * hahn_eberlein(lam, olt, ogt, x10), rad
+@lru_cache(maxsize=1024)
+def _louck_numerators(lam: TwoRowPartition, olt: int, ogt: int) -> tuple[tuple[int, ...], int]:
+    """Integers (M, D) with hahn_eberlein(lam, olt, ogt, x) == M[x]/D for
+    every joint-weight parameter x = t10 in 0..min(olt, n - ogt).
+
+    D = prod_{j<lambda2} (j - olt)(ogt - n + j)(j + 1) clears the
+    denominators of all 3F2 terms; it is nonzero because lambda2 <= olt and
+    lambda2 <= n - ogt.  The 3F2 is the Hahn polynomial
+    Q_lambda2(x; -olt - 1, olt - n - 1, n - ogt), so M follows the Hahn
+    difference equation in x (Koekoek, Lesky and Swarttouw, section 9.5):
+        B(x) M[x+1] = (B(x) + C(x) - lambda2 (n + 1 - lambda2)) M[x] - C(x) M[x-1]
+    with B(x) = (x - olt)(x - n + ogt) and C(x) = x(x - olt + ogt), starting
+    from M[0] = D.  B(x) is nonzero below the end of the range, and each
+    division is exact because D clears the denominator of the 3F2 at every x.
+    """
+    n, l2 = lam.size, lam.lambda2
+    d = 1
+    for j in range(l2):
+        d *= (j - olt) * (ogt - n + j) * (j + 1)
+    shift = l2 * (n + 1 - l2)
+    table, prev = [d], 0
+    for x in range(min(olt, n - ogt)):
+        b = (x - olt) * (x - n + ogt)
+        c = x * (x - olt + ogt)
+        cur = table[-1]
+        table.append(((b + c - shift) * cur - c * prev) // b)
+        prev = cur
+    return tuple(table), d
+
+
+def _weight_pref(n: int, olt: int, ogt: int) -> Fraction:
+    """Rational prefactor olt!(n-ogt)!/n! of one party's Louck value."""
+    return Fraction(math.factorial(olt) * math.factorial(n - ogt), math.factorial(n))
+
+
+def _radicand(lam: TwoRowPartition, olt: int, ogt: int) -> Fraction:
+    """Weight-only radicand A_lt/A_gt of one party's Louck value."""
+    return a_factor(lam, olt) / a_factor(lam, ogt)
 
 
 def louck(lam: TwoRowPartition, omega: int, omega_p: int, theta: JointWeight) -> SqrtRational:
@@ -111,61 +141,62 @@ def louck(lam: TwoRowPartition, omega: int, omega_p: int, theta: JointWeight) ->
         return SqrtRational.zero()
     # canonicalize so the row index carries the lesser weight
     th = theta if omega <= omega_p else theta.transpose()
-    q, rad = _louck_parts(lam, omega, omega_p, th.t10)
+    olt, ogt = min(omega, omega_p), max(omega, omega_p)
+    q = _weight_pref(lam.size, olt, ogt) * hahn_eberlein(lam, olt, ogt, th.t10)
     if q == 0:
         return SqrtRational.zero()
-    return SqrtRational(1 if q > 0 else -1, q * q * rad)
+    return SqrtRational(1 if q > 0 else -1, q * q * _radicand(lam, olt, ogt))
 
 
 def louck_diag(lam: TwoRowPartition, omega: int, x: int) -> Fraction:
     """Rational fast path for omega' = omega (the radical cancels)."""
     if not (lam.lambda1 >= omega >= lam.lambda2):
         return Fraction(0)
-    q, _ = _louck_parts(lam, omega, omega, x)
-    return q
+    return _weight_pref(lam.size, omega, omega) * hahn_eberlein(lam, omega, omega, x)
 
 
-def louck_bsum(lam: TwoRowPartition, omega: int, omega_p: int, theta: JointWeight) -> SqrtRational:
-    """Independent definition through the Schur coefficients, for one
-    canonical representative pair; cross-checks the product formula."""
-    if theta.weights() != (omega, omega_p):
-        raise ValueError(f"{theta} incompatible with weights ({omega},{omega_p})")
-    if not (lam.lambda1 >= omega >= lam.lambda2 and lam.lambda1 >= omega_p >= lam.lambda2):
-        return SqrtRational.zero()
-    s = (1,) * theta.t11 + (1,) * theta.t10 + (0,) * theta.t01 + (0,) * theta.t00
-    sp = (1,) * theta.t11 + (0,) * theta.t10 + (1,) * theta.t01 + (0,) * theta.t00
-    acc = RadicalSum.zero()
-    for q in standard_paths(lam):
-        b = b_coeff(SchurLabel(lam, omega, q), s) * b_coeff(SchurLabel(lam, omega_p, q), sp)
-        acc = acc + RadicalSum.from_sqrt(b)
-    return acc.scale(Fraction(1, dim_irrep(lam))).collapse()
+def _overlap_parts(lams: PartitionTuple, omega: int, omega_p: int) -> tuple[Fraction, Fraction]:
+    """(q, rad) with <K_omega|K_omega'> = q sqrt(rad); rad = 1 on the diagonal.
+
+    The sum over theta runs in integers: multinomial(theta), updated by one
+    ratio per step, times each party's numerator M_i[theta.t10].  The party
+    prefactors olt!(n-ogt)!/n!, the common denominators D_i and f_all are
+    applied once, as one Fraction.
+    """
+    n = lams.n
+    olt, ogt = min(omega, omega_p), max(omega, omega_p)
+    if any(not (lam.lambda2 <= olt and ogt <= lam.lambda1) for lam in lams):
+        return Fraction(0), Fraction(1)
+    parts = [_louck_numerators(lam, olt, ogt) for lam in lams]
+    # theta = (t00, t01, t10, t11) = (n - ogt - x, ogt - olt + x, x, olt - x)
+    mult = math.comb(n, ogt) * math.comb(ogt, olt)
+    total = 0
+    for x in range(min(olt, n - ogt) + 1):
+        term = mult
+        for m, _ in parts:
+            term *= m[x]
+        total += term
+        mult = mult * (olt - x) * (n - ogt - x) // ((x + 1) * (ogt - olt + x + 1))
+    if total == 0:
+        return Fraction(0), Fraction(1)
+    num_parties = lams.num_parties
+    den = math.factorial(n) ** num_parties * math.prod(d for _, d in parts)
+    num = math.prod(dim_irrep(lam) for lam in lams) * total
+    num *= (math.factorial(olt) * math.factorial(n - ogt)) ** num_parties
+    rad = Fraction(1)
+    if olt != ogt:
+        rad = math.prod((_radicand(lam, olt, ogt) for lam in lams), start=rad)
+    return Fraction(num, den), rad
 
 
 def overlap(lams: PartitionTuple, omega: int, omega_p: int) -> SqrtRational:
     """Exact overlap <K_omega|K_omega'> of the unnormalized GHZ sector states.
 
-    Single sum over the free joint-weight parameter; the radical prefactor is
-    weight-dependent only, so the sum itself is a rational accumulation.
+    Symmetric in (omega, omega_p).  One integer sum over the free joint-weight
+    parameter gives the rational factor as a single Fraction; the radical
+    sqrt(prod_i A_lt/A_gt) depends on the weights only.
     """
-    n = lams.n
-    for lam in lams:
-        if not (lam.lambda1 >= omega >= lam.lambda2 and lam.lambda1 >= omega_p >= lam.lambda2):
-            return SqrtRational.zero()
-    f_all = math.prod(dim_irrep(lam) for lam in lams)
-    pref = Fraction(1)
-    rad = Fraction(1)
-    total = Fraction(0)
-    first = True
-    for theta in joint_weights(n, min(omega, omega_p), max(omega, omega_p)):
-        term = Fraction(multinomial_theta(theta))
-        for lam in lams:
-            q, r = _louck_parts(lam, omega, omega_p, theta.t10)
-            term *= q
-            if first:
-                rad *= r
-        first = False
-        total += term
-    q = f_all * total
+    q, rad = _overlap_parts(lams, omega, omega_p)
     if q == 0:
         return SqrtRational.zero()
     return SqrtRational(1 if q > 0 else -1, q * q * rad)
@@ -200,6 +231,11 @@ class GramMatrix:
 def gram(lams: PartitionTuple, alpha, n: int) -> GramMatrix:
     """Gram matrix of the residual V-side state for GHZ(alpha)^(x)n.
 
+    The diagonal overlaps are rational; they give the normalizer and are
+    reused as the diagonal entries.  The overlap is symmetric in its two
+    weights, so each off-diagonal entry is computed once, for the upper
+    triangle, and shared with the lower one.
+
     Returns an empty matrix when the weight range is empty or the sector
     amplitude vanishes identically (degenerate case).
     """
@@ -213,24 +249,20 @@ def gram(lams: PartitionTuple, alpha, n: int) -> GramMatrix:
     if lo > hi:
         return GramMatrix([], [])
     weights = list(range(lo, hi + 1))
-    diag = {}
-    for om in weights:
-        v = overlap(lams, om, om).as_rational()
-        if v is None:
-            raise AssertionError("diagonal overlap is not rational")
-        diag[om] = v
-    den = sum((xi_sq(alpha, om, n) * diag[om] for om in weights), Fraction(0))
+    diag = [_overlap_parts(lams, om, om)[0] for om in weights]
+    den = sum((xi_sq(alpha, om, n) * v for om, v in zip(weights, diag)), Fraction(0))
     if den == 0:
         return GramMatrix([], [])
-    entries = []
-    for om in weights:
-        row = []
-        for omp in weights:
+    inv_den = Fraction(1) / den
+    entries = [[None] * len(weights) for _ in weights]
+    for i, om in enumerate(weights):
+        for j in range(i, len(weights)):
+            omp = weights[j]
+            ov = SqrtRational.from_rational(diag[i]) if i == j else overlap(lams, om, omp)
             num = SqrtRational.sqrt(
                 alpha ** (om + omp) * (1 - alpha) ** (2 * n - om - omp)
-            ) * overlap(lams, om, omp)
-            row.append(num.scale(Fraction(1) / den))
-        entries.append(row)
+            ) * ov
+            entries[i][j] = entries[j][i] = num.scale(inv_den)
     return GramMatrix(weights, entries)
 
 
@@ -248,10 +280,7 @@ def sector_probability(lams: PartitionTuple, alpha) -> Fraction:
     hi = min(lam.lambda1 for lam in lams)
     total = Fraction(0)
     for om in range(lo, hi + 1):
-        v = overlap(lams, om, om).as_rational()
-        if v is None:
-            raise AssertionError("diagonal overlap is not rational")
-        total += xi_sq(alpha, om, n) * v
+        total += xi_sq(alpha, om, n) * _overlap_parts(lams, om, om)[0]
     return total
 
 

@@ -183,13 +183,44 @@ def character(lam: TwoRowPartition, c) -> int:
     return _mn_character(shape, c)
 
 
+def partition_counts(limit: int) -> tuple[int, ...]:
+    """p(0), p(1), ..., p(k) for the longest run with every p(j) <= limit,
+    by Euler's pentagonal-number recurrence."""
+    p = [1]
+    while True:
+        n, total, k = len(p), 0, 1
+        while (g := k * (3 * k - 1) // 2) <= n:
+            sign = 1 if k % 2 else -1
+            total += sign * p[n - g]
+            if (g2 := g + k) <= n:
+                total += sign * p[n - g2]
+            k += 1
+        if total > limit:
+            return tuple(p)
+        p.append(total)
+
+
+# kron_coeff costs 33-67 us per cycle type; p(48) = 147273 classes took
+# 6-10 s and 135-243 MB at n=48 on a 2-core VM, Python 3.11.
+KRON_CLASS_BUDGET = 150_000
+_KRON_CLASS_COUNTS = partition_counts(KRON_CLASS_BUDGET)
+
+
 def kron_coeff(t: PartitionTuple) -> int:
     """Generalized Kronecker coefficient: dim of the S_n-invariant subspace
     of the tensor product of the [lambda^(i)].
 
     Sums over cycle types with class sizes rather than over all of S_n.
+    Raises ValueError when p(n), the number of cycle types, is over
+    KRON_CLASS_BUDGET.
     """
     n = t.n
+    if n >= len(_KRON_CLASS_COUNTS):
+        raise ValueError(
+            f"kron_coeff sums over the p({n}) cycle types of S_{n}; p({n}) exceeds "
+            f"the budget of {KRON_CLASS_BUDGET} (p({len(_KRON_CLASS_COUNTS) - 1}) = "
+            f"{_KRON_CLASS_COUNTS[-1]} takes about 10 s)"
+        )
     total = 0
     for c in all_cycle_types(n):
         prod = class_size(c)

@@ -1,0 +1,81 @@
+"""Second routes kept only as test oracles.
+
+Each one computes a quantity the package computes by another route, the
+slow and literal way, so tests can compare the two exactly.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+from wkron.exact import RadicalSum, SqrtRational
+from wkron.ghz import JointWeight, joint_weights, multinomial_theta
+from wkron.partitions import PartitionTuple, TwoRowPartition, dim_irrep
+from wkron.schur import SchurLabel, b_coeff, standard_paths
+from wkron.wstates import a_factor
+
+
+def hahn_eberlein_3f2(lam: TwoRowPartition, omega_lt: int, omega_gt: int, x: int) -> Fraction:
+    """Terminating 3F2(1) summed term by term in Fractions.
+
+    Upper parameters (-lambda2, -x, lambda2 - n - 1), lower parameters
+    (-omega_lt, omega_gt - n).  The sum terminates at k = min(lambda2, x).
+    """
+    n = lam.size
+    a1, a2, a3 = -lam.lambda2, -x, lam.lambda2 - n - 1
+    b1, b2 = -omega_lt, omega_gt - n
+    total = Fraction(1)
+    term = Fraction(1)
+    k = 0
+    while True:
+        num = (a1 + k) * (a2 + k) * (a3 + k)
+        if num == 0:
+            return total
+        den = (b1 + k) * (b2 + k) * (k + 1)
+        if den == 0:
+            raise ValueError("parameters outside the terminating range")
+        term *= Fraction(num, den)
+        total += term
+        k += 1
+
+
+def louck_bsum(lam: TwoRowPartition, omega: int, omega_p: int, theta: JointWeight) -> SqrtRational:
+    """Louck value from its definition through the Schur coefficients, for
+    one canonical representative pair; cross-checks the product formula."""
+    if theta.weights() != (omega, omega_p):
+        raise ValueError(f"{theta} incompatible with weights ({omega},{omega_p})")
+    if not (lam.lambda1 >= omega >= lam.lambda2 and lam.lambda1 >= omega_p >= lam.lambda2):
+        return SqrtRational.zero()
+    s = (1,) * theta.t11 + (1,) * theta.t10 + (0,) * theta.t01 + (0,) * theta.t00
+    sp = (1,) * theta.t11 + (0,) * theta.t10 + (1,) * theta.t01 + (0,) * theta.t00
+    acc = RadicalSum.zero()
+    for q in standard_paths(lam):
+        b = b_coeff(SchurLabel(lam, omega, q), s) * b_coeff(SchurLabel(lam, omega_p, q), sp)
+        acc = acc + RadicalSum.from_sqrt(b)
+    return acc.scale(Fraction(1, dim_irrep(lam))).collapse()
+
+
+def overlap_per_theta(lams: PartitionTuple, omega: int, omega_p: int) -> SqrtRational:
+    """GHZ sector overlap <K_omega|K_omega'> with one Fraction product per
+    joint weight theta: each party's Louck value is its prefactor times the
+    term-by-term 3F2, and the weight-only radical is taken from the A factors."""
+    n = lams.n
+    for lam in lams:
+        if not (lam.lambda1 >= omega >= lam.lambda2 and lam.lambda1 >= omega_p >= lam.lambda2):
+            return SqrtRational.zero()
+    olt, ogt = min(omega, omega_p), max(omega, omega_p)
+    pref = Fraction(math.factorial(olt) * math.factorial(n - ogt), math.factorial(n))
+    rad = Fraction(1)
+    for lam in lams:
+        rad *= a_factor(lam, olt) / a_factor(lam, ogt)
+    total = Fraction(0)
+    for theta in joint_weights(n, olt, ogt):
+        term = Fraction(multinomial_theta(theta))
+        for lam in lams:
+            term *= pref * hahn_eberlein_3f2(lam, olt, ogt, theta.t10)
+        total += term
+    q = math.prod(dim_irrep(lam) for lam in lams) * total
+    if q == 0:
+        return SqrtRational.zero()
+    return SqrtRational(1 if q > 0 else -1, q * q * rad)

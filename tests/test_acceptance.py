@@ -11,6 +11,7 @@ from itertools import product
 
 import numpy as np
 
+from oracles import louck_bsum
 from reference_tables import REFERENCE_TABLES, expand_orbits
 from wkron.covariants import base_form, theorem2_form, transvectant, verify_proportional
 from wkron.ghz import (
@@ -18,7 +19,6 @@ from wkron.ghz import (
     gram,
     joint_weights,
     louck,
-    louck_bsum,
     multinomial_theta,
     schmidt_spectrum,
 )

@@ -103,6 +103,10 @@ def test_kron_parties_mismatch_exit_2(capsys):
         (["verify", "--nmax3", "-1"], "nmax must be >= 0"),
         # refused before the n <= 6 cases run
         (["verify", "--nmax3", "7", "--nmax4", "1"], "21 qubits exceeds the 18-qubit dense cap"),
+        # refused by kron_coeff's cycle-type budget before khat recurses or
+        # p(n) cycle types are enumerated
+        (["kron", "--lambda", "600,0;600,0;600,0"], "p(600) exceeds the budget"),
+        (["kron", "--lambda", "200,0;200,0;200,0"], "p(200) exceeds the budget"),
     ],
 )
 def test_out_of_range_input_exit_2(capsys, argv, reason):

@@ -4,7 +4,10 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import hahn_eberlein_3f2, louck_bsum, overlap_per_theta
 from wkron.exact import RadicalSum, SqrtRational
 from wkron.ghz import (
     JointWeight,
@@ -12,7 +15,6 @@ from wkron.ghz import (
     hahn_eberlein,
     joint_weights,
     louck,
-    louck_bsum,
     multinomial_theta,
     overlap,
     schmidt_spectrum,
@@ -264,9 +266,14 @@ def test_sector_probabilities_sum_to_one():
 def test_gram_matches_dense_oracle():
     from wkron.protocol import GHZState, multilocal_schur, tensor_power
 
-    alpha = Fraction(1, 3)
-    for n in range(2, 6):
-        sectors = multilocal_schur(tensor_power(GHZState(alpha, 3), n))
+    cases = [
+        (alpha, parties, n)
+        for alpha in (Fraction(1, 3), Fraction(2, 7))
+        for parties in (3, 4)
+        for n in range(2, 6 if parties == 3 else 5)
+    ]
+    for alpha, parties, n in cases:
+        sectors = multilocal_schur(tensor_power(GHZState(alpha, parties), n))
         for lams, block in sectors.items():
             g = gram(lams, alpha, n)
             if not g.weights:
@@ -280,9 +287,55 @@ def test_gram_matches_dense_oracle():
             for i, om in enumerate(g.weights):
                 for j, omp in enumerate(g.weights):
                     acc = RadicalSum.zero()
-                    r1 = rows[(om,) * 3]
-                    r2 = rows[(omp,) * 3]
+                    r1 = rows[(om,) * parties]
+                    r2 = rows[(omp,) * parties]
                     for a, b in zip(r1, r2):
                         acc = acc + a * b
                     expect = acc.scale(Fraction(1) / norm)
-                    assert RadicalSum.from_sqrt(g.exact[i][j]) == expect, (lams, om, omp)
+                    assert RadicalSum.from_sqrt(g.exact[i][j]) == expect, (alpha, lams, om, omp)
+
+
+def test_hahn_eberlein_equals_term_by_term_3f2():
+    checked = 0
+    for n in range(1, 16):
+        for lam in list_partitions(n):
+            for olt in range(lam.lambda2, lam.lambda1 + 1):
+                for ogt in range(olt, lam.lambda1 + 1):
+                    # the joint-weight range, and past it for small n
+                    xs = range(min(olt, n - ogt) + 1) if n > 9 else range(n + 3)
+                    for x in xs:
+                        assert hahn_eberlein(lam, olt, ogt, x) == hahn_eberlein_3f2(
+                            lam, olt, ogt, x
+                        ), (lam, olt, ogt, x)
+                        checked += x <= min(olt, n - ogt)
+    assert checked == 7871
+
+
+def test_hahn_eberlein_outside_terminating_range_raises():
+    with pytest.raises(ValueError):
+        hahn_eberlein(TwoRowPartition(3, 2), 1, 3, 0)  # omega_lt < lambda2
+    with pytest.raises(ValueError):
+        hahn_eberlein(TwoRowPartition(4, 1), 3, 2, 0)  # omega_lt > omega_gt
+
+
+@st.composite
+def _ghz_overlap_case(draw):
+    parties = draw(st.sampled_from((3, 4)))
+    n = draw(st.integers(1, 14))
+    lams = ptuple(*((n - l2, l2) for l2 in draw(
+        st.lists(st.integers(0, n // 2), min_size=parties, max_size=parties)
+    )))
+    lo = max(lam.lambda2 for lam in lams)
+    hi = min(lam.lambda1 for lam in lams)
+    # mostly inside the common weight range, sometimes anywhere in 0..n
+    wr = st.integers(lo, hi) if lo <= hi and draw(st.integers(0, 4)) else st.integers(0, n)
+    return lams, draw(wr), draw(wr)
+
+
+@settings(deadline=None)
+@given(_ghz_overlap_case())
+def test_overlap_equals_per_theta_oracle(case):
+    lams, om, omp = case
+    value = overlap(lams, om, omp)
+    assert value == overlap_per_theta(lams, om, omp)
+    assert value == overlap(lams, omp, om)

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from wkron.partitions import (
+    KRON_CLASS_BUDGET,
     TwoRowPartition,
     all_cycle_types,
     character,
@@ -11,6 +12,7 @@ from wkron.partitions import (
     kron_coeff,
     list_partitions,
     parse_partition_tuple,
+    partition_counts,
     ptuple,
     reduced_entropy,
     w_admissible,
@@ -75,6 +77,22 @@ def test_kron_coeff_examples():
     assert kron_coeff(ptuple((2, 1), (2, 1), (2, 1))) == 1
     assert kron_coeff(ptuple((5, 2), (5, 2), (5, 2))) == 2
     assert kron_coeff(ptuple((2, 0), (2, 0), (1, 1))) == 0
+
+
+def test_partition_counts_match_cycle_type_enumeration():
+    counts = partition_counts(10**9)
+    assert [len(all_cycle_types(n)) for n in range(1, 26)] == list(counts[1:26])
+    assert counts[100] == 190569292
+    # the run stops before the first count over the limit
+    assert max(counts) <= 10**9 < partition_counts(10**12)[len(counts)]
+
+
+def test_kron_coeff_refuses_cycle_types_over_budget():
+    counts = partition_counts(KRON_CLASS_BUDGET)
+    assert len(counts) - 1 == 48 and counts[-1] == 147273  # p(49) = 173525 is over
+    for n in (49, 600, 10**9):
+        with pytest.raises(ValueError, match=rf"p\({n}\) exceeds the budget"):
+            kron_coeff(ptuple((n, 0), (n, 0), (n, 0)))
 
 
 def test_kron_coeff_symmetric_under_permutation():
