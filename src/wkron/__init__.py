@@ -29,7 +29,7 @@ from .protocol import (
     tensor_power,
     verify_report,
 )
-from .schur import b_coeff, gamma, rep_matrix, schur_block, standard_paths
+from .schur import SchurBlock, b_coeff, gamma, rep_matrix, standard_paths
 from .wstates import WClassState, a_factor, phi_hat, w_normal_form, z_norm
 
 __all__ = [
@@ -48,7 +48,7 @@ __all__ = [
     "gamma",
     "standard_paths",
     "b_coeff",
-    "schur_block",
+    "SchurBlock",
     "rep_matrix",
     "WClassState",
     "w_normal_form",

@@ -2,7 +2,7 @@
 tables, and GHZ residual-spectrum data as JSON/CSV artifacts.
 
 Exit codes: 0 success, 1 internal inconsistency (oracle mismatch),
-2 bad input.  Worker count for the verify suite comes from WKRON_WORKERS.
+2 bad input.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import contextlib
 import csv
 import io
 import json
-import os
+import math
 import sys
 from fractions import Fraction
 from itertools import islice
@@ -63,7 +63,15 @@ def cmd_kron(args) -> int:
     if not w_admissible(lams):
         print(f"inadmissible partition tuple {lams}", file=sys.stderr)
         return 2
-    k = kron_coeff(lams)  # first: its budget refuses large n before khat runs
+    support = math.prod(kronstate.sector_dims(lams))
+    if support > protocol.KRON_SUPPORT_CAP:
+        print(
+            f"sector {lams} has support {support} (the product of its dimensions), "
+            f"over the cap of {protocol.KRON_SUPPORT_CAP}",
+            file=sys.stderr,
+        )
+        return 2
+    k = kron_coeff(lams)  # before khat: its budget refuses large n
     kv = kronstate.khat(lams.num_parties, lams.n, lams)
     if kv.is_zero:
         print(f"sector {lams} carries no Kronecker support", file=sys.stderr)
@@ -131,15 +139,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cases = ((3, args.nmax3), (4, args.nmax4))
-    workers = int(os.environ.get("WKRON_WORKERS", "1"))
-    if workers > 1:
-        import multiprocessing as mp
-
-        with mp.Pool(workers) as pool:
-            report = protocol.verify_report(cases, pool_map=pool.map)
-    else:
-        report = protocol.verify_report(cases)
+    report = protocol.verify_report(((3, args.nmax3), (4, args.nmax4)))
     _write_json(report, args.out, indent=1)
     return 0 if report["ok"] else 1
 

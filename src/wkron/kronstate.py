@@ -7,7 +7,7 @@ absent means exact zero.  The recurrence runs backward from the requested
 sector: a sector at level n is assembled from its predecessors at level n-1,
 so one sector costs only its down-set.  The recurrence assigns nonzero formal
 values to sectors outside the W-class admissible set, whose physical amplitude
-is zero; those are zeroed at every recursion depth before propagating.
+is zero; those are zeroed at every level before propagating.
 
 The squared norm eta^2 follows a scalar recurrence of its own, because the
 pieces a sector gets from different predecessors are orthogonal:
@@ -18,13 +18,12 @@ building a coefficient.  It is the eta^2 of every sector probability
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from operator import getitem
-
-import numpy as np
 
 from .exact import RadicalSum, SqrtRational
 from .partitions import PartitionTuple, TwoRowPartition, dim_irrep, list_partitions, w_admissible
@@ -126,14 +125,21 @@ def khat(num_parties: int, n: int, lams: PartitionTuple) -> KroneckerVector:
 
     Only the down-set of lams (the admissible tuples partywise contained in
     it) is built, and only levels below n are memoized, so cost scales with
-    that down-set, not with every sector at n.  On a 2-core Xeon VM with
-    Python 3.11, (10,2)^3 at n=12 (22k coefficients) takes 0.3 s and 39 MB
-    peak, (9,3)^3 (618k) 5.7 s and 211 MB, (8,4)^3 (2.4M) 22 s and 643 MB.
+    that down-set, not with every sector at n.  The memo is filled from level
+    1 upward, so every sector finds its predecessors there and nothing
+    recurses.  On a 2-core Xeon VM with Python 3.11, (10,2)^3 at n=12 (22k
+    coefficients) takes 0.3 s and 39 MB peak, (9,3)^3 (618k) 5.7 s and
+    211 MB, (8,4)^3 (2.4M) 22 s and 643 MB.
     """
     if lams.num_parties != num_parties or lams.n != n:
         raise ValueError("partition tuple inconsistent with (N, n)")
     if not w_admissible(lams):
         return KroneckerVector(lams, {})
+    levels = _down_set({tuple(lam.lambda2 for lam in lams)}, n)
+    for m, level in enumerate(levels[:-1], 1):
+        parts = [TwoRowPartition(m - bi, bi) for bi in range(m // 2 + 1)]
+        for b in level:
+            _memo_coeffs(PartitionTuple(tuple(map(parts.__getitem__, b))))
     return KroneckerVector(lams, _sector_coeffs(lams))
 
 
@@ -154,10 +160,9 @@ def eta_sq_table(sectors) -> dict[PartitionTuple, Fraction]:
     In `_sector_coeffs` every predecessor lams - qn is extended by its own
     final bit tuple qn, so the pieces are orthogonal and
         eta^2(lams) = sum_qn f(lams, qn)^2 * eta^2(lams - qn),
-    with eta^2 = 1 at n = 1.  A sector is keyed by its second-row lengths.
-    The walk first collects the union of the targets' admissible down-sets
-    level by level, then fills eta^2 from n = 1 upward, keeping only the
-    previous level's values.  Inadmissible targets read 0.
+    with eta^2 = 1 at n = 1.  The walk takes the union of the targets'
+    down-sets and fills eta^2 from n = 1 upward, keeping only the previous
+    level's values.  Inadmissible targets read 0.
     """
     sectors = list(sectors)
     if not sectors:
@@ -165,45 +170,49 @@ def eta_sq_table(sectors) -> dict[PartitionTuple, Fraction]:
     num_parties, n = sectors[0].num_parties, sectors[0].n
     if any(s.num_parties != num_parties or s.n != n for s in sectors):
         raise ValueError("sectors must share one (N, n)")
-    moves = list(product((0, 1), repeat=num_parties))
-    # levels[m - 1]: second-row tuples of the down-set at level m
-    top = {tuple(lam.lambda2 for lam in s) for s in sectors if w_admissible(s)}
-    levels = [top]
-    for m in range(n, 1, -1):
-        levels.append({p for b in levels[-1] for p, _ in _predecessors(b, m, moves)})
-    levels.reverse()
+    levels = _down_set({tuple(lam.lambda2 for lam in s) for s in sectors if w_admissible(s)}, n)
     prev = {b: Fraction(1) for b in levels[0]}
     for m in range(2, n + 1):
-        cur = {}
-        for b in levels[m - 1]:
-            total = Fraction(0)
-            for p, qn in _predecessors(b, m, moves):
-                # f_coeff(lams, qn, m)^2 = num^2 / den, from second-row lengths
-                num = m
-                den = 1
-                for bi, q in zip(b, qn):
-                    num -= m - bi + 1 if q else bi
-                    den *= m - 2 * bi + 2 * q
-                if num:
-                    total += Fraction(num * num, den) * prev[p]
-            cur[b] = total
-        prev = cur
+        prev = {
+            b: sum((Fraction(num * num, den) * prev[p] for p, num, den in _predecessors(b, m)),
+                   Fraction(0))
+            for b in levels[m - 1]
+        }
     # a second-row tuple fixes the sector at level n; inadmissible ones are absent
     return {s: prev.get(tuple(lam.lambda2 for lam in s), Fraction(0)) for s in sectors}
 
 
-def _predecessors(b: tuple[int, ...], m: int, moves):
-    """(second-row tuple, qn) of each admissible sector at level m - 1 from
-    which the recurrence reaches b at level m: qn[i] = 1 removes party i's
-    last second-row box, 0 its last first-row box."""
-    for qn in moves:
-        p = tuple(bi - q for bi, q in zip(b, qn))
-        # a first-row box can go only while the first row stays the longer
-        if any(pi < 0 or 2 * pi > m - 1 for pi in p):
-            continue
+def _down_set(top: set[tuple[int, ...]], n: int) -> list[set[tuple[int, ...]]]:
+    """levels[m - 1]: the second-row tuples at level m from which the
+    recurrence reaches a tuple of top (at level n) through nonzero factors;
+    these are the sectors `_sector_coeffs` builds below the top.  A sector is
+    keyed by its second-row lengths."""
+    levels = [top]
+    for m in range(n, 1, -1):
+        levels.append({p for b in levels[-1] for p, _, _ in _predecessors(b, m)})
+    levels.reverse()
+    return levels
+
+
+def _predecessors(b: tuple[int, ...], m: int):
+    """(second-row tuple, num, den) of each admissible sector at level m - 1
+    from which the recurrence reaches b at level m with a nonzero factor
+    f_coeff = sign(num) * sqrt(num^2 / den)."""
+    # per party: (second row before, its share of m - num, its factor of den)
+    # for each box the party can give back
+    steps = []
+    for bi in b:
+        step = []
+        if 2 * bi < m:  # the last first-row box; the first row stays the longer
+            step.append((bi, bi, m - 2 * bi))
+        if bi:  # the last second-row box
+            step.append((bi - 1, m - bi + 1, m - 2 * bi + 2))
+        steps.append(step)
+    for step in product(*steps):
+        p, used, dens = zip(*step)
         s = sum(p)
-        if s <= m - 1 and all(2 * pi <= s for pi in p):
-            yield p, qn
+        if s < m and 2 * max(p) <= s and (num := m - sum(used)):
+            yield p, num, math.prod(dens)
 
 
 def eta_sq(lams: PartitionTuple) -> Fraction:
@@ -265,23 +274,6 @@ def verify_lemma1(k: KroneckerVector, party: int) -> float:
             target = Fraction(1, d) if i == j else Fraction(0)
             dev = max(dev, abs(rho[i][j] - target))
     return float(dev)
-
-
-def verify_lemma1_float(k: KroneckerVector, party: int) -> float:
-    """Float-path variant of verify_lemma1 for sectors too large to keep exact."""
-    paths = standard_paths(k.lams[party])
-    index = {q: i for i, q in enumerate(paths)}
-    d = len(paths)
-    rho = np.zeros((d, d))
-    by_rest: dict[tuple, list[tuple[int, float]]] = {}
-    for qt, v in k.coeffs.items():
-        rest = qt[:party] + qt[party + 1:]
-        by_rest.setdefault(rest, []).append((index[qt[party]], float(v)))
-    for entries in by_rest.values():
-        for i, vi in entries:
-            for j, vj in entries:
-                rho[i, j] += vi * vj
-    return float(np.abs(rho - np.eye(d) / d).max())
 
 
 # -- JSON table format --------------------------------------------------------

@@ -176,10 +176,6 @@ class SchurBlock:
         return zip(self.rows, self._cols)
 
 
-def schur_block(lam: TwoRowPartition, n: int) -> SchurBlock:
-    return SchurBlock(lam, n)
-
-
 # -- permutations ------------------------------------------------------------
 #
 # A permutation is a tuple p of length n mapping position k to p[k] (0-based).

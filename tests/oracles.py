@@ -16,6 +16,32 @@ from wkron.schur import SchurLabel, b_coeff, standard_paths
 from wkron.wstates import a_factor
 
 
+def all_cycle_types(n: int) -> tuple[tuple[int, ...], ...]:
+    """All partitions of n (any number of parts), as descending tuples."""
+
+    def gen(rem, maxpart):
+        if rem == 0:
+            yield ()
+            return
+        for p in range(min(rem, maxpart), 0, -1):
+            for rest in gen(rem - p, p):
+                yield (p,) + rest
+
+    return tuple(gen(n, n))
+
+
+def class_size(c: tuple[int, ...]) -> int:
+    """Number of permutations of the given cycle type: n!/z_c."""
+    n = sum(c)
+    z = 1
+    mult: dict[int, int] = {}
+    for p in c:
+        mult[p] = mult.get(p, 0) + 1
+    for p, m in mult.items():
+        z *= p**m * math.factorial(m)
+    return math.factorial(n) // z
+
+
 def hahn_eberlein_3f2(lam: TwoRowPartition, omega_lt: int, omega_gt: int, x: int) -> Fraction:
     """Terminating 3F2(1) summed term by term in Fractions.
 

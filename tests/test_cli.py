@@ -107,6 +107,9 @@ def test_kron_parties_mismatch_exit_2(capsys):
         # p(n) cycle types are enumerated
         (["kron", "--lambda", "600,0;600,0;600,0"], "p(600) exceeds the budget"),
         (["kron", "--lambda", "200,0;200,0;200,0"], "p(200) exceeds the budget"),
+        # refused by the support cap (4.4e9 and 5.9e16 slots) before khat runs
+        (["kron", "--lambda", "10,5;10,5;10,5"], "support 4394826072 (the product"),
+        (["kron", "--lambda", "16,8;16,8;16,8"], "over the cap of 4000000"),
     ],
 )
 def test_out_of_range_input_exit_2(capsys, argv, reason):

@@ -22,7 +22,7 @@ from wkron.ghz import (
     typical_partition,
 )
 from wkron.partitions import PartitionTuple, TwoRowPartition, dim_irrep, list_partitions, ptuple
-from wkron.schur import schur_block
+from wkron.schur import SchurBlock
 
 
 def sq(x):
@@ -147,7 +147,7 @@ def test_louck_completeness():
 def _d_matrix_from_schur(lam, n, x_mat):
     """<lam,om,q| X^(x)n |lam,om',q> via the exact Schur block; also checks
     the q-diagonal structure."""
-    block = schur_block(lam, n)
+    block = SchurBlock(lam, n)
     rows = list(block.items())
     paths = [q for q in [lbl.q for lbl, _ in rows]]
     d = {}

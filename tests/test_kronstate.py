@@ -19,7 +19,6 @@ from wkron.kronstate import (
     reduced_density,
     to_table_json,
     verify_lemma1,
-    verify_lemma1_float,
 )
 from wkron.partitions import kron_coeff, ptuple, w_admissible
 from wkron.probw import p_w
@@ -102,7 +101,7 @@ def test_lemma1_float_path_large_sector():
     nk = normalized(khat(3, 7, lams))
     assert len(nk.coeffs) > 0
     for party in range(3):
-        assert verify_lemma1_float(nk, party) < 1e-12
+        assert verify_lemma1(nk, party) == 0.0
 
 
 def test_probability_identity_eta_sq_times_z():
@@ -165,6 +164,16 @@ def test_khat_memoizes_only_the_down_set():
         memo(t)
         found += memo.cache_info().misses == misses
     assert 0 < held == found < len(lower)
+
+
+def test_khat_deep_thin_sector_is_iterative():
+    # 999 memoized levels, each reached from the one below: each
+    # all-first-row step has f^2 = 1/m
+    kronstate._memo_coeffs.cache_clear()
+    kv = khat(3, 1000, ptuple((1000, 0), (1000, 0), (1000, 0)))
+    assert [v.square() for v in kv.coeffs.values()] == [Fraction(1, math.factorial(1000))]
+    assert kronstate._memo_coeffs.cache_info().currsize == 999
+    kronstate._memo_coeffs.cache_clear()
 
 
 def test_khat_single_sector_n12():

@@ -2,12 +2,11 @@ import math
 
 import pytest
 
+from oracles import all_cycle_types, class_size
 from wkron.partitions import (
     KRON_CLASS_BUDGET,
     TwoRowPartition,
-    all_cycle_types,
     character,
-    class_size,
     dim_irrep,
     kron_coeff,
     list_partitions,
@@ -72,11 +71,38 @@ def test_class_sizes_sum_to_group_order():
         assert sum(class_size(c) for c in all_cycle_types(n)) == math.factorial(n)
 
 
+def test_character_row_orthogonality():
+    # sum_c |C_c| chi^lam(c) chi^mu(c) = n! * delta(lam, mu)
+    for n in range(1, 21):
+        classes = all_cycle_types(n)
+        sizes = [class_size(c) for c in classes]
+        chars = {lam: [character(lam, c) for c in classes] for lam in list_partitions(n)}
+        for lam, chi in chars.items():
+            for mu, psi in chars.items():
+                inner = sum(s * a * b for s, a, b in zip(sizes, chi, psi))
+                assert inner == (math.factorial(n) if lam == mu else 0), (lam, mu)
+
+
 def test_kron_coeff_examples():
     # explicit character sum: (2^3*1 + 3*0 + 2*(-1)^3)/6 = 1
     assert kron_coeff(ptuple((2, 1), (2, 1), (2, 1))) == 1
     assert kron_coeff(ptuple((5, 2), (5, 2), (5, 2))) == 2
     assert kron_coeff(ptuple((2, 0), (2, 0), (1, 1))) == 0
+
+
+@pytest.mark.parametrize(
+    "lams, coeff",
+    [
+        ("20,10;20,10;20,10", 6),
+        ("16,8;16,8;16,8", 5),
+        ("18,12;20,10;22,8", 4),
+        ("15,15;20,10;25,5", 1),
+        ("12,12;14,10;16,8;18,6", 281),
+    ],
+)
+def test_kron_coeff_pinned_values(lams, coeff):
+    # computed independently by a Murnaghan-Nakayama character sum
+    assert kron_coeff(parse_partition_tuple(lams)) == coeff
 
 
 def test_partition_counts_match_cycle_type_enumeration():

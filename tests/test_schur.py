@@ -7,6 +7,7 @@ import pytest
 from wkron.exact import RadicalSum, SqrtRational
 from wkron.partitions import TwoRowPartition, list_partitions
 from wkron.schur import (
+    SchurBlock,
     SchurLabel,
     apply_perm,
     b_coeff,
@@ -17,7 +18,6 @@ from wkron.schur import (
     perm_cycle_type,
     perm_from_cycle_type,
     rep_matrix,
-    schur_block,
     standard_paths,
 )
 
@@ -77,14 +77,14 @@ def test_b_coeff_weight_selection_rule():
     # zero unless the Hamming weight of s equals omega, exhaustively n <= 8
     for n in range(1, 9):
         for lam in list_partitions(n):
-            block = schur_block(lam, n)
+            block = SchurBlock(lam, n)
             for label, col in block.items():
                 for s in col:
                     assert sum(s) == label.omega
 
 
 def test_schur_block_triplet_rows():
-    block = schur_block(TwoRowPartition(2, 0), 2)
+    block = SchurBlock(TwoRowPartition(2, 0), 2)
     vec = {lbl.omega: col for lbl, col in block.items()}
     assert vec[0] == {(0, 0): SqrtRational.one()}
     assert vec[1] == {(1, 0): sq("1/2"), (0, 1): sq("1/2")}
@@ -92,7 +92,7 @@ def test_schur_block_triplet_rows():
 
 
 def test_schur_block_identity_n1():
-    block = schur_block(TwoRowPartition(1, 0), 1)
+    block = SchurBlock(TwoRowPartition(1, 0), 1)
     assert [(lbl.omega, lbl.q, col) for lbl, col in block.items()] == [
         (0, (0,), {(0,): SqrtRational.one()}),
         (1, (0,), {(1,): SqrtRational.one()}),
@@ -110,7 +110,7 @@ def _dot(col1, col2):
 
 
 def test_rows_orthonormal_within_sector():
-    block = schur_block(TwoRowPartition(2, 1), 3)
+    block = SchurBlock(TwoRowPartition(2, 1), 3)
     rows = list(block.items())
     assert len(rows) == 4  # 2 weights x 2 paths
     for i, (_, ci) in enumerate(rows):
@@ -123,7 +123,7 @@ def test_completeness_exact():
     for n in range(1, 9):
         by_weight = {}
         for lam in list_partitions(n):
-            for label, col in schur_block(lam, n).items():
+            for label, col in SchurBlock(lam, n).items():
                 by_weight.setdefault(label.omega, []).append(col)
         total_rows = 0
         for om, cols in by_weight.items():
@@ -157,7 +157,7 @@ def test_rep_matrix_defining_relation():
             perm = tuple(rng.sample(range(n), n))
             s_mat = rep_matrix(lam, perm)
             paths = standard_paths(lam)
-            block = schur_block(lam, n)
+            block = SchurBlock(lam, n)
             for om in range(lam.lambda2, lam.lambda1 + 1):
                 cols = [block.row_vector(SchurLabel(lam, om, q)) for q in paths]
                 for s in cols[0].keys() | {k for c in cols for k in c}:
