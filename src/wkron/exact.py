@@ -1,5 +1,6 @@
 """Exact scalar arithmetic: rationals, signed square roots of rationals,
-and a small dense symmetric eigensolver.
+a small dense symmetric eigensolver, and `InconsistencyError`, raised when an
+exact check fails.
 
 The workhorse scalar is :class:`SqrtRational`, a value ``sign * sqrt(radicand)``
 with ``radicand`` a nonnegative ``Fraction``.  The set of such values is closed
@@ -25,6 +26,11 @@ from functools import lru_cache
 import numpy as np
 
 Rational = Fraction
+
+
+class InconsistencyError(RuntimeError):
+    """A computed result contradicts a structural claim: a dense sector that
+    is not rank 1, or an exact recurrence whose division leaves a remainder."""
 
 
 def _sign(x) -> int:

@@ -202,9 +202,12 @@ def overlap(lams: PartitionTuple, omega: int, omega_p: int) -> SqrtRational:
     return SqrtRational(1 if q > 0 else -1, q * q * rad)
 
 
-def xi_sq(alpha: Fraction, omega: int, n: int) -> Fraction:
-    """Squared GHZ amplitude weight: alpha^omega (1-alpha)^(n-omega)."""
-    return alpha**omega * (1 - alpha) ** (n - omega)
+def _xi_sq_numerators(alpha: Fraction, n: int, weights) -> tuple[list[int], int]:
+    """Squared GHZ amplitude weights xi^2(omega) = alpha^omega (1-alpha)^(n-omega)
+    of each weight as integer numerators over one denominator: with
+    alpha = p/q, q^n xi^2(omega) = p^omega (q-p)^(n-omega)."""
+    p, q = alpha.numerator, alpha.denominator
+    return [p**om * (q - p) ** (n - om) for om in weights], q**n
 
 
 @dataclass
@@ -250,7 +253,8 @@ def gram(lams: PartitionTuple, alpha, n: int) -> GramMatrix:
         return GramMatrix([], [])
     weights = list(range(lo, hi + 1))
     diag = [_overlap_parts(lams, om, om)[0] for om in weights]
-    den = sum((xi_sq(alpha, om, n) * v for om, v in zip(weights, diag)), Fraction(0))
+    xi, q_n = _xi_sq_numerators(alpha, n, weights)
+    den = sum((x * v for x, v in zip(xi, diag)), Fraction(0)) / q_n
     if den == 0:
         return GramMatrix([], [])
     inv_den = Fraction(1) / den
@@ -259,9 +263,7 @@ def gram(lams: PartitionTuple, alpha, n: int) -> GramMatrix:
         for j in range(i, len(weights)):
             omp = weights[j]
             ov = SqrtRational.from_rational(diag[i]) if i == j else overlap(lams, om, omp)
-            num = SqrtRational.sqrt(
-                alpha ** (om + omp) * (1 - alpha) ** (2 * n - om - omp)
-            ) * ov
+            num = SqrtRational.sqrt(Fraction(xi[i] * xi[j], q_n * q_n)) * ov
             entries[i][j] = entries[j][i] = num.scale(inv_den)
     return GramMatrix(weights, entries)
 
@@ -274,14 +276,10 @@ def schmidt_spectrum(g: GramMatrix) -> list[float]:
 def sector_probability(lams: PartitionTuple, alpha) -> Fraction:
     """Exact GHZ sector probability: sum over the weight range of
     xi^2(omega) <K_omega|K_omega>."""
-    alpha = Fraction(alpha)
-    n = lams.n
-    lo = max(lam.lambda2 for lam in lams)
-    hi = min(lam.lambda1 for lam in lams)
-    total = Fraction(0)
-    for om in range(lo, hi + 1):
-        total += xi_sq(alpha, om, n) * _overlap_parts(lams, om, om)[0]
-    return total
+    weights = range(max(lam.lambda2 for lam in lams), min(lam.lambda1 for lam in lams) + 1)
+    xi, q_n = _xi_sq_numerators(Fraction(alpha), lams.n, weights)
+    total = sum((x * _overlap_parts(lams, om, om)[0] for x, om in zip(xi, weights)), Fraction(0))
+    return total / q_n
 
 
 def typical_partition(n: int) -> TwoRowPartition:

@@ -179,7 +179,7 @@ def p_w_counting(lams: PartitionTuple) -> Fraction:
 
 def sector_probabilities(state: WClassState, sectors) -> list[Fraction]:
     """p(psi, lams) = Z(psi, lams) * eta^2(lams) of each sector, all of one
-    (N, n): one eta^2 walk and one set of party polynomials serve them all,
+    (N, n): one eta^2 sweep and one set of party polynomials serve them all,
     and Z is computed only where eta^2 is nonzero."""
     sectors = list(sectors)
     if any(s.num_parties != state.num_parties for s in sectors):
@@ -196,6 +196,6 @@ def p_w(lams: PartitionTuple) -> Fraction:
 
 
 def p_psi(state: WClassState, lams: PartitionTuple) -> Fraction:
-    """Probability of the sector lams for a W-class state; walks only the
-    sector's down-set."""
+    """Probability of the sector lams for a W-class state; the eta^2 sweep
+    covers only the box below the sector's second rows."""
     return sector_probabilities(state, [lams])[0]

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import ghz as ghzmod
 from . import probw
-from .exact import RadicalSum, SqrtRational
+from .exact import InconsistencyError, RadicalSum, SqrtRational
 from .kronstate import KroneckerVector, khat, normalized
 from .partitions import PartitionTuple, list_partitions, w_admissible
 from .schur import SchurBlock
@@ -44,10 +44,6 @@ QTuple = tuple[tuple[int, ...], ...]
 
 class SizeCapError(ValueError):
     """Requested dense computation exceeds the documented size caps."""
-
-
-class InconsistencyError(RuntimeError):
-    """The dense oracle contradicts a structural claim (e.g. sector rank 1)."""
 
 
 @dataclass(frozen=True)
@@ -340,8 +336,8 @@ def all_partition_tuples(num_parties: int, n: int):
 def sector_distribution(state, n: int) -> list[tuple[PartitionTuple, Fraction]]:
     """Exact outcome distribution over partition tuples, nonzero entries only.
 
-    W-class states use `probw.sector_probabilities` (Z * eta^2, one eta^2
-    walk over level n for every sector) and GHZ states the Louck-polynomial
+    W-class states use `probw.sector_probabilities` (Z * eta^2, one integer
+    eta^2 sweep up to level n for every sector) and GHZ states the Louck-polynomial
     sum `ghz.sector_probability`, both closed forms with no size cap; this is
     the route of `wkron prob` and `wkron sample`.  Raw amplitude lists fall
     back to the exact dense oracle within its cap.

@@ -11,7 +11,8 @@ from fractions import Fraction
 
 from wkron.exact import RadicalSum, SqrtRational
 from wkron.ghz import JointWeight, joint_weights, multinomial_theta
-from wkron.partitions import PartitionTuple, TwoRowPartition, dim_irrep
+from wkron.kronstate import _down_set, _predecessors
+from wkron.partitions import PartitionTuple, TwoRowPartition, dim_irrep, w_admissible
 from wkron.schur import SchurLabel, b_coeff, standard_paths
 from wkron.wstates import a_factor
 
@@ -105,3 +106,21 @@ def overlap_per_theta(lams: PartitionTuple, omega: int, omega_p: int) -> SqrtRat
     if q == 0:
         return SqrtRational.zero()
     return SqrtRational(1 if q > 0 else -1, q * q * rad)
+
+
+def eta_sq_walk(sectors) -> dict[PartitionTuple, Fraction]:
+    """eta^2 of each sector (all of one (N, n)) by the Fraction level walk
+    eta^2(lams) = sum_qn f(lams, qn)^2 * eta^2(lams - qn), eta^2 = 1 at
+    n = 1, over the union of the targets' down-sets; inadmissible targets
+    read 0."""
+    sectors = list(sectors)
+    n = sectors[0].n
+    levels = _down_set({tuple(lam.lambda2 for lam in s) for s in sectors if w_admissible(s)}, n)
+    prev = {b: Fraction(1) for b in levels[0]}
+    for m in range(2, n + 1):
+        prev = {
+            b: sum((Fraction(num * num, den) * prev[p] for p, num, den in _predecessors(b, m)),
+                   Fraction(0))
+            for b in levels[m - 1]
+        }
+    return {s: prev.get(tuple(lam.lambda2 for lam in s), Fraction(0)) for s in sectors}

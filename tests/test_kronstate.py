@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from wkron import kronstate
-from wkron.exact import RadicalSum, SqrtRational
+from oracles import eta_sq_walk
+from wkron import cli, kronstate, protocol
+from wkron.exact import InconsistencyError, RadicalSum, SqrtRational
 from wkron.kronstate import (
     KroneckerVector,
     eta,
@@ -239,3 +240,49 @@ def test_eta_sq_table_validates_input():
     assert eta_sq_table([]) == {}
     with pytest.raises(ValueError):
         eta_sq_table([ptuple((2, 0), (2, 0), (2, 0)), ptuple((3, 0), (3, 0), (3, 0))])
+
+
+def test_eta_sq_table_equals_fraction_walk():
+    # the table raises on any division with a remainder, so returning at all
+    # also pins E = eta^2 * prod H / n! integral at every level below
+    for num_parties, nmax in ((2, 16), (3, 24), (4, 12), (5, 8)):
+        for n in range(1, nmax + 1):
+            sectors = list(all_partition_tuples(num_parties, n))
+            assert eta_sq_table(sectors) == eta_sq_walk(sectors), (num_parties, n)
+
+
+def test_eta_sq_table_of_a_subset_equals_fraction_walk():
+    # scattered targets clip the box and the lower bound of the sweep
+    lams = [ptuple((8, 4), (9, 3), (10, 2)), ptuple((11, 1), (7, 5), (9, 3)),
+            ptuple((12, 0), (6, 6), (6, 6)), ptuple((6, 6), (6, 6), (6, 6))]
+    table = eta_sq_table(lams)
+    assert table == eta_sq_walk(lams)
+    assert table[lams[3]] == 0 and table[lams[2]] > 0
+    for one in lams:
+        assert eta_sq(one) == table[one]
+
+
+def _corrupt_first_row_step(monkeypatch):
+    steps = kronstate._party_steps
+
+    def corrupted(m, hi, stride):
+        out = steps(m, hi, stride)
+        # r of a first-row box at bi = 1 off by one
+        if hi >= 1 and out[1][0][0] == 0:
+            out[1] = ((0, out[1][0][1] + 1, out[1][0][2]),) + out[1][1:]
+        return out
+
+    monkeypatch.setattr(kronstate, "_party_steps", corrupted)
+
+
+def test_eta_sq_table_raises_on_a_remainder(monkeypatch):
+    _corrupt_first_row_step(monkeypatch)
+    with pytest.raises(InconsistencyError, match="not divisible"):
+        eta_sq_table(list(all_partition_tuples(3, 6)))
+
+
+def test_cli_exits_1_on_a_remainder(monkeypatch, capsys):
+    _corrupt_first_row_step(monkeypatch)
+    assert cli.main(["prob", "--parties", "3", "--copies", "6"]) == 1
+    assert "not divisible" in capsys.readouterr().err
+    assert protocol.InconsistencyError is InconsistencyError
