@@ -9,11 +9,11 @@ need.  Sums of SqrtRationals are deliberately *not* part of the public ring:
 every exact summation in the package is either provably rational or shares a
 common radical that the caller factors out first.  The one internal exception
 is :class:`RadicalSum`, a private accumulator over squarefree radicands used
-by the S_n representation matrices and for the brute-force oracle's sector
-entries; it collapses back to a single SqrtRational (or raises) at module
-boundaries.  The oracle's inner loop sums integer numerators per radical
-class instead, from :meth:`SqrtRational.radical_parts`, the one place that
-splits a value into its squarefree radical and rational factor.
+by the S_n representation matrices and reduced density matrices; it collapses
+back to a single SqrtRational (or raises) at module boundaries.  The
+brute-force oracle keeps integer numerators per radical class instead, from
+:meth:`SqrtRational.radical_parts`, the one place that splits a value into
+its squarefree radical and rational factor.
 """
 
 from __future__ import annotations
@@ -179,8 +179,9 @@ class RadicalSum:
     """Internal exact accumulator: a Q-linear combination of sqrt(d) terms
     with d squarefree.  Supports +, -, * and collapses to a SqrtRational.
 
-    Not part of the public scalar ring; used where the oracle or the S_n
-    representation matrices must add cross-radical products exactly.
+    Not part of the public scalar ring; used where the S_n representation
+    matrices, the reduced density of a Kronecker vector and the tests must
+    add cross-radical products exactly.
     """
 
     __slots__ = ("terms",)

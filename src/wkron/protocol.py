@@ -7,9 +7,9 @@ every amplitude and every B coefficient is split by
 `SqrtRational.radical_parts` into (num/den) * sqrt(d) with d squarefree, and
 sector entries are accumulated as integer numerators per radical class over
 one common denominator (the lcm of the amplitude denominators times the
-per-party B denominator to the power N).  They become RadicalSums only when
-the sector blocks are built, so the recurrence can be checked against them
-with zero tolerance.  It is capped at EXACT_CAP qubits in total.
+per-party B denominator to the power N).  Sector blocks keep that form, nonzero
+cells only, so norms and the rank-1 check run in integers and the recurrence is
+checked against them with zero tolerance.  It is capped at EXACT_CAP qubits.
 
 Bit layout (part of the contract): amplitude index is an (N*n)-bit integer,
 party-major, with party i's copy-k qubit at bit position i*n + k counted from
@@ -24,16 +24,16 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, product
 
 import numpy as np
 
 from . import ghz as ghzmod
 from . import probw
-from .exact import InconsistencyError, RadicalSum, SqrtRational
+from .exact import InconsistencyError, SqrtRational
 from .kronstate import KroneckerVector, khat, normalized
 from .partitions import PartitionTuple, list_partitions, w_admissible
-from .schur import SchurBlock
+from .schur import SchurBlock, standard_paths
 from .wstates import WClassState, phi_hat, w_normal_form
 
 EXACT_CAP = 18
@@ -157,30 +157,48 @@ def _tensor_exact(single, num_parties: int, n: int):
 
 @dataclass
 class SectorBlock:
-    """Sector content as a matrix over (weight-tuple rows) x (q-tuple columns)."""
+    """Nonzero cells of a sector's matrix over the (weight-tuple rows) x
+    (q-tuple columns) of `sector_grid`: cells[(omega, qt)] = {d: c} is
+    sum(c * sqrt(d)) / den over squarefree d, every c nonzero."""
 
     lams: PartitionTuple
-    weights: list[WeightTuple]
-    qlabels: list[QTuple]
-    entries: list[list[RadicalSum]]
+    den: int
+    cells: dict[tuple[WeightTuple, QTuple], dict[int, int]]
 
     def norm_sq(self) -> Fraction:
-        total = RadicalSum.zero()
-        for row in self.entries:
-            for x in row:
-                total = total + x * x
-        q = total.as_rational()
-        if q is None:
+        total: dict[int, int] = {}
+        for cell in self.cells.values():
+            for e, k in cell.items():
+                _times_root(cell, k, e, total)
+        if set(total) - {1}:
             # amplitudes of mixed radical classes can leave Q; that is bad
             # input for an exact-rational distribution, not a contradiction
             raise ValueError(
-                f"sector {self.lams}: squared norm {total} is not rational "
-                f"(radical classes {sorted(total.terms)})"
+                f"sector {self.lams}: squared norm is not rational "
+                f"(radical classes {sorted(total)})"
             )
-        return q
+        return Fraction(total.get(1, 0), self.den**2)
 
     def float_matrix(self) -> np.ndarray:
-        return np.array([[float(x) for x in row] for row in self.entries])
+        weights, qlabels = sector_grid(self.lams)
+        m = np.zeros((len(weights), len(qlabels)))
+        for (om, qt), cell in self.cells.items():
+            x = sum(float(Fraction(c, self.den)) * math.sqrt(d) for d, c in cell.items())
+            m[weights.index(om), qlabels.index(qt)] = x
+        return m
+
+
+def _times_root(cell: dict[int, int], k: int, e: int, acc: dict[int, int]) -> dict[int, int]:
+    """acc += cell * k * sqrt(e) in integers, e squarefree; zero classes drop out."""
+    for d, c in cell.items():
+        g = math.gcd(d, e)
+        r = (d // g) * (e // g)
+        t = acc.get(r, 0) + c * k * g
+        if t:
+            acc[r] = t
+        else:
+            del acc[r]
+    return acc
 
 
 @lru_cache(maxsize=None)
@@ -225,6 +243,7 @@ def multilocal_schur(state: DenseState) -> dict[PartitionTuple, SectorBlock]:
                 acc = nxt.get(nk)
                 if acc is None:
                     acc = nxt[nk] = {}
+                # _times_root(val, k, e, acc) inline: the call costs 13% here
                 for d, c in val.items():
                     g = math.gcd(d, e)
                     r = (d // g) * (e // g)
@@ -234,35 +253,16 @@ def multilocal_schur(state: DenseState) -> dict[PartitionTuple, SectorBlock]:
                     else:
                         del acc[r]
         current = {k: v for k, v in nxt.items() if v}
-    den = A * D**N
-    sectors: dict[PartitionTuple, dict[tuple[WeightTuple, QTuple], RadicalSum]] = {}
+    cells: dict[PartitionTuple, dict] = {}
     for key, val in current.items():
-        lbls = [labels[j] for j in key]
-        lams = PartitionTuple(tuple(lbl[0] for lbl in lbls))
-        om = tuple(lbl[1] for lbl in lbls)
-        qt = tuple(lbl[2] for lbl in lbls)
-        sectors.setdefault(lams, {})[(om, qt)] = RadicalSum(
-            {d: Fraction(c, den) for d, c in val.items()}
-        )
-    out = {}
-    zero = RadicalSum.zero()  # shared by empty cells: no caller mutates a RadicalSum
-    for lams, data in sectors.items():
-        weights, qlabels = sector_grid(lams)
-        entries = [
-            [data.get((om, qt), zero) for qt in qlabels]
-            for om in weights
-        ]
-        out[lams] = SectorBlock(lams, weights, qlabels, entries)
-    return out
+        lams, om, qt = zip(*(labels[j] for j in key))
+        cells.setdefault(PartitionTuple(lams), {})[(om, qt)] = val
+    return {lams: SectorBlock(lams, A * D**N, c) for lams, c in cells.items()}
 
 
 def sector_grid(lams: PartitionTuple) -> tuple[list[WeightTuple], list[QTuple]]:
     """Canonical row/column enumeration of a sector block: the full weight box
     and the full product of lexicographic path lists, both row-major."""
-    from itertools import product
-
-    from .schur import standard_paths
-
     weights = [
         tuple(om)
         for om in product(*(range(lam.lambda2, lam.lambda1 + 1) for lam in lams))
@@ -281,7 +281,8 @@ def residual_schmidt(block: SectorBlock) -> list[float]:
     return [float(s) / math.sqrt(total) for s in sv]
 
 
-@lru_cache(maxsize=None)
+# verify_case asks for one (N, n) at a time, so one entry serves all its sectors
+@lru_cache(maxsize=1)
 def _w_sectors(num_parties: int, n: int):
     return multilocal_schur(tensor_power(w_normal_form(num_parties), n))
 
@@ -301,34 +302,30 @@ def oracle_khat(lams: PartitionTuple, n: int) -> KroneckerVector:
     if not phi.coeffs:
         raise InconsistencyError(f"sector {lams} present but fiducial support empty")
     ref = max(phi.coeffs, key=lambda om: abs(phi.coeffs[om].signed_square()))
-    ref_idx = sector.weights.index(ref)
-    inv = SqrtRational.one() / phi.coeffs[ref]
+    # rank-1 check over the nonzero cells: each is phi_omega * ref cell / phi_ref
+    # with a one-class ref cell; for phi_omega = p/q * sqrt(d), in integers,
+    # cell * p_ref * q * sqrt(d_ref) == ref cell * p * q_ref * sqrt(d)
+    parts = {om: v.radical_parts() for om, v in phi.coeffs.items()}
+    rd, rp, rq = parts[ref]
     kvals = {}
-    for j, qt in enumerate(sector.qlabels):
-        v = (sector.entries[ref_idx][j] * RadicalSum.from_sqrt(inv)).collapse()
-        if not v.is_zero:
-            kvals[qt] = v
-    # rank-1 check: every row must be phi_omega * khat exactly
-    for i, om in enumerate(sector.weights):
-        pv = phi.coeffs.get(om)
-        if pv is None:
-            if any(not x.is_zero for x in sector.entries[i]):
-                raise InconsistencyError(f"sector {lams}: weight {om} outside fiducial support")
-            continue
-        for j, qt in enumerate(sector.qlabels):
-            expect = (
-                RadicalSum.from_sqrt(pv * kvals[qt]) if qt in kvals else RadicalSum.zero()
-            )
-            if sector.entries[i][j] != expect:
-                raise InconsistencyError(
-                    f"sector {lams} does not factorize at weight {om}, q {qt}"
-                )
+    for (om, qt), cell in sector.cells.items():
+        if om not in parts:
+            raise InconsistencyError(f"sector {lams}: weight {om} outside fiducial support")
+        d, p, q = parts[om]
+        ref_cell = sector.cells.get((ref, qt), {})
+        lhs, rhs = _times_root(cell, rp * q, rd, {}), _times_root(ref_cell, p * rq, d, {})
+        if len(ref_cell) != 1 or lhs != rhs:
+            raise InconsistencyError(f"sector {lams} does not factorize at weight {om}, q {qt}")
+        if om == ref:
+            ((e, c),) = cell.items()
+            v = SqrtRational.from_rational(Fraction(c, sector.den)) * SqrtRational.sqrt(e)
+            kvals[qt] = v / phi.coeffs[ref]
+    if len(sector.cells) != len(parts) * len(kvals):
+        raise InconsistencyError(f"sector {lams}: a cell of supp phi x supp khat is zero")
     return KroneckerVector(lams, kvals)
 
 
 def all_partition_tuples(num_parties: int, n: int):
-    from itertools import product
-
     for combo in product(list_partitions(n), repeat=num_parties):
         yield PartitionTuple(tuple(combo))
 

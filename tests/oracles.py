@@ -108,6 +108,15 @@ def overlap_per_theta(lams: PartitionTuple, omega: int, omega_p: int) -> SqrtRat
     return SqrtRational(1 if q > 0 else -1, q * q * rad)
 
 
+def sector_cell(block, omega, qt) -> RadicalSum:
+    """Exact value of one cell of a dense-oracle SectorBlock, read from its
+    integer numerators; zero when the block (None) or the cell is absent."""
+    if block is None:
+        return RadicalSum.zero()
+    cell = block.cells.get((omega, qt), {})
+    return RadicalSum({d: Fraction(c, block.den) for d, c in cell.items()})
+
+
 def eta_sq_walk(sectors) -> dict[PartitionTuple, Fraction]:
     """eta^2 of each sector (all of one (N, n)) by the Fraction level walk
     eta^2(lams) = sum_qn f(lams, qn)^2 * eta^2(lams - qn), eta^2 = 1 at

@@ -29,6 +29,7 @@ from wkron.protocol import (
     all_partition_tuples,
     multilocal_schur,
     sector_distribution,
+    sector_grid,
     tensor_power,
     verify_report,
 )
@@ -150,8 +151,9 @@ def test_criterion_05_wclass_universality():
                     ok = ok and sv[1] <= 1e-10
                 _, _, vt = np.linalg.svd(m)
                 kv = normalized(khat(3, n, lams))
-                ref = np.zeros(len(block.qlabels))
-                for i, qt in enumerate(block.qlabels):
+                qlabels = sector_grid(lams)[1]
+                ref = np.zeros(len(qlabels))
+                for i, qt in enumerate(qlabels):
                     if qt in kv.coeffs:
                         ref[i] = float(kv.coeffs[qt])
                 cos = abs(float(vt[0] @ ref))

@@ -212,6 +212,29 @@ def test_verify_command(capsys):
     assert all(not c["mismatches"] for c in report["cases"])
 
 
+def test_verify_two_class_cell_exits_1(capsys, monkeypatch):
+    # a W sector cell spanning the radical classes 1 and 2 falsifies the rank-1
+    # claim wherever it sits, a one-row sector's reference row included: exit 1,
+    # not bad input
+    from wkron import protocol
+
+    real = protocol._w_sectors
+    sectors = real(3, 2)
+    for lams, block in sectors.items():
+        for key, cell in block.cells.items():
+            ((d, c),) = cell.items()
+            assert d == 1
+            cells = {**block.cells, key: {1: c, 2: c}}
+            fake = {**sectors, lams: protocol.SectorBlock(lams, block.den, cells)}
+            monkeypatch.setattr(
+                protocol, "_w_sectors",
+                lambda N, n, fake=fake: fake if (N, n) == (3, 2) else real(N, n),
+            )
+            code, _, err = run(["verify", "--nmax3", "2", "--nmax4", "0"], capsys)
+            assert code == 1, (lams, key, err)
+            assert "internal inconsistency" in err
+
+
 def test_bad_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["kron", "--unknown-flag", "1"])

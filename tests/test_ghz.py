@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import hahn_eberlein_3f2, louck_bsum, overlap_per_theta
+from oracles import hahn_eberlein_3f2, louck_bsum, overlap_per_theta, sector_cell
 from wkron.exact import RadicalSum, SqrtRational
 from wkron.ghz import (
     JointWeight,
@@ -264,7 +264,7 @@ def test_sector_probabilities_sum_to_one():
 
 
 def test_gram_matches_dense_oracle():
-    from wkron.protocol import GHZState, multilocal_schur, tensor_power
+    from wkron.protocol import GHZState, multilocal_schur, sector_grid, tensor_power
 
     cases = [
         (alpha, parties, n)
@@ -279,9 +279,10 @@ def test_gram_matches_dense_oracle():
             if not g.weights:
                 continue
             norm = block.norm_sq()
+            weights, qlabels = sector_grid(lams)
             rows = {
-                om: block.entries[i]
-                for i, om in enumerate(block.weights)
+                om: [sector_cell(block, om, qt) for qt in qlabels]
+                for om in weights
                 if all(x == om[0] for x in om)
             }
             for i, om in enumerate(g.weights):

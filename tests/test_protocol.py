@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from oracles import sector_cell
 
 from wkron import ghz, protocol
 from wkron.exact import RadicalSum, SqrtRational
@@ -28,7 +29,7 @@ from wkron.protocol import (
     verify_report,
 )
 from wkron.schur import SchurLabel, b_coeff
-from wkron.wstates import WClassState, w_normal_form
+from wkron.wstates import WClassState, phi_hat, w_normal_form
 
 
 def sq(x):
@@ -185,8 +186,8 @@ def test_multilocal_schur_equals_b_sum(case):
     for lams in all_partition_tuples(dense.num_parties, n):
         block = sectors.get(lams)
         weights, qlabels = sector_grid(lams)
-        for i, om in enumerate(weights):
-            for j, qt in enumerate(qlabels):
+        for om in weights:
+            for qt in qlabels:
                 labels = [SchurLabel(lam, w, q) for lam, w, q in zip(lams, om, qt)]
                 direct = RadicalSum.zero()
                 # B(label, s) vanishes unless s has the label's weight
@@ -195,7 +196,7 @@ def test_multilocal_schur_equals_b_sum(case):
                     for label, si in zip(labels, s):
                         term = term * b_coeff(label, si)
                     direct = direct + RadicalSum.from_sqrt(term)
-                got = block.entries[i][j] if block else RadicalSum.zero()
+                got = sector_cell(block, om, qt)
                 assert got == direct, (lams, om, qt)
                 total = total + got * got
     one_copy = sum(
@@ -246,6 +247,75 @@ def test_oracle_khat_examples():
     assert oracle_khat(ptuple((1, 1), (1, 1), (1, 1)), 2).is_zero
 
 
+# 18 nonzero cells: |supp phi| = 6 rows of 45 and |supp khat| = 3 columns of 9,
+# in the radical classes 1, 2 and 6
+_MUTATED = ptuple((3, 1), (3, 1), (4, 0))
+
+
+def _patch_w_sectors(monkeypatch, lams, n, edit):
+    """Let oracle_khat read the W sector `lams` at n with its cells changed by
+    edit(cells); the cached blocks stay as they are."""
+    real = protocol._w_sectors
+    sectors = real(lams.num_parties, n)
+    cells = {key: dict(cell) for key, cell in sectors[lams].cells.items()}
+    edit(cells)
+    fake = {**sectors, lams: protocol.SectorBlock(lams, sectors[lams].den, cells)}
+    monkeypatch.setattr(
+        protocol, "_w_sectors", lambda N, m: fake if (N, m) == (lams.num_parties, n) else real(N, m)
+    )
+
+
+def _mutants(edit_one):
+    """One edit per cell of _MUTATED at n=4: edit_one(cells, key) changes only
+    that cell."""
+    keys = list(protocol._w_sectors(3, 4)[_MUTATED].cells)
+    assert len(keys) == 18
+    return [lambda cells, key=key: edit_one(cells, key) for key in keys]
+
+
+def test_oracle_khat_unchanged_cells_pass(monkeypatch):
+    _patch_w_sectors(monkeypatch, _MUTATED, 4, lambda cells: None)
+    assert oracle_khat(_MUTATED, 4).coeffs == khat(3, 4, _MUTATED).coeffs
+
+
+def test_oracle_khat_rejects_a_changed_numerator(monkeypatch):
+    def bump(cells, key):
+        d = next(iter(cells[key]))
+        cells[key][d] += 1
+
+    for edit in _mutants(bump):
+        with monkeypatch.context() as m:
+            _patch_w_sectors(m, _MUTATED, 4, edit)
+            with pytest.raises(InconsistencyError):
+                oracle_khat(_MUTATED, 4)
+
+
+def test_oracle_khat_rejects_a_missing_cell(monkeypatch):
+    for edit in _mutants(lambda cells, key: cells.pop(key)):
+        with monkeypatch.context() as m:
+            _patch_w_sectors(m, _MUTATED, 4, edit)
+            with pytest.raises(InconsistencyError):
+                oracle_khat(_MUTATED, 4)
+
+
+def test_oracle_khat_rejects_a_cell_outside_phi_support(monkeypatch):
+    support = phi_hat(w_normal_form(3), _MUTATED).coeffs
+    weights, qlabels = sector_grid(_MUTATED)
+    outside = [om for om in weights if om not in support]
+    assert len(outside) == 39
+    for om in outside:
+        with monkeypatch.context() as m:
+            _patch_w_sectors(m, _MUTATED, 4, lambda cells: cells.update({(om, qlabels[0]): {1: 1}}))
+            with pytest.raises(InconsistencyError, match="outside fiducial support"):
+                oracle_khat(_MUTATED, 4)
+
+
+def test_w_sector_cache_holds_one_case():
+    protocol._w_sectors.cache_clear()
+    assert verify_report(cases=((3, 3), (4, 2)))["ok"]
+    assert protocol._w_sectors.cache_info().currsize <= 1
+
+
 def test_master_oracle_equivalence_small():
     rep = verify_report(cases=((3, 4), (4, 3)))
     assert rep["ok"], rep
@@ -286,8 +356,9 @@ def test_theorem1_universality_random_states():
                 _, _, vt = np.linalg.svd(m)
                 qvec = vt[0]
                 kv = normalized(khat(3, n, lams))
-                ref = np.zeros(len(block.qlabels))
-                for i, qt in enumerate(block.qlabels):
+                qlabels = sector_grid(lams)[1]
+                ref = np.zeros(len(qlabels))
+                for i, qt in enumerate(qlabels):
                     if qt in kv.coeffs:
                         ref[i] = float(kv.coeffs[qt])
                 cos = abs(float(qvec @ ref))
