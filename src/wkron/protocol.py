@@ -365,10 +365,10 @@ def _nonzero_normalized(rows) -> list[tuple[PartitionTuple, Fraction]]:
 
 # Bound on a sector's support, the product of its dimensions, for which
 # `wkron kron` and sample_run build the Kronecker vector.  Cost follows the
-# product: the whole `wkron kron` call took 19 s and 440 MB peak RSS for
-# (9,3)^3 at n=12 (product 3.65M, 618k coefficients; khat alone 5.2 s and
-# 217 MB) and 27 s and 650 MB for (9,2)^4 at n=11 (3.75M), while khat alone
-# took 22 s and 643 MB for (8,4)^3 (20.8M), on a 2-core VM with Python 3.11.
+# product: the whole `wkron kron` call took 14 s and 396 MB peak RSS for
+# (9,3)^3 at n=12 (product 3.65M, 618k coefficients; khat alone 4.0 s and
+# 214 MB) and 21 s and 604 MB for (9,2)^4 at n=11 (3.75M), while khat alone
+# took 12.8 s and 646 MB for (8,4)^3 (20.8M), on a 2-core VM with Python 3.11.
 KRON_SUPPORT_CAP = 4_000_000
 
 

@@ -71,21 +71,23 @@ def gamma(lam: TwoRowPartition, omega: int):
 
 
 def standard_paths(lam: TwoRowPartition) -> list[PathSeq]:
-    """All valid path sequences terminating at lam, lexicographically sorted."""
+    """All valid path sequences terminating at lam, lexicographically sorted.
 
-    def grow(prefix, r1, r2):
-        k = r1 + r2
-        if k == lam.size:
-            if (r1, r2) == lam.as_tuple():
-                yield prefix
-            return
-        # 0 before 1 keeps lexicographic order
-        if r1 + 1 <= lam.lambda1:
-            yield from grow(prefix + (0,), r1 + 1, r2)
-        if r2 + 1 <= r1 and r2 + 1 <= lam.lambda2:
-            yield from grow(prefix + (1,), r1, r2 + 1)
-
-    return list(grow((0,), 1, 0))
+    Grown one step at a time over the whole level, without recursion, so a
+    path may be longer than the interpreter's recursion limit."""
+    # (prefix, first-row length, second-row length); every prefix kept here
+    # completes to lam, and extending a sorted level by 0 before 1 keeps the
+    # next level sorted
+    level = [((0,), 1, 0)] if lam.size else []
+    for _ in range(lam.size - 1):
+        grown = []
+        for prefix, r1, r2 in level:
+            if r1 < lam.lambda1:
+                grown.append((prefix + (0,), r1 + 1, r2))
+            if r2 < r1 and r2 < lam.lambda2:
+                grown.append((prefix + (1,), r1, r2 + 1))
+        level = grown
+    return [prefix for prefix, _, _ in level]
 
 
 def path_is_valid(q: PathSeq) -> bool:

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from wkron.exact import RadicalSum, SqrtRational
 from wkron.ghz import JointWeight, joint_weights, multinomial_theta
-from wkron.kronstate import _down_set, _predecessors
+from wkron.kronstate import KroneckerVector, _down_set, _predecessors
 from wkron.partitions import PartitionTuple, TwoRowPartition, dim_irrep, w_admissible
 from wkron.schur import SchurLabel, b_coeff, standard_paths
 from wkron.wstates import a_factor
@@ -115,6 +115,42 @@ def sector_cell(block, omega, qt) -> RadicalSum:
         return RadicalSum.zero()
     cell = block.cells.get((omega, qt), {})
     return RadicalSum({d: Fraction(c, block.den) for d, c in cell.items()})
+
+
+def table_json_per_entry(k: KroneckerVector) -> dict:
+    """`kronstate.to_table_json` one entry at a time: each coefficient's
+    ordinal tuple is formed in the sort key and again for its "q", and each
+    entry reads its own value."""
+    lams = k.lams
+    labels = {}
+    ordinals = []
+    for i, lam in enumerate(lams):
+        paths = standard_paths(lam)
+        labels[str(i + 1)] = ["".join(map(str, q)) for q in paths]
+        ordinals.append({q: j + 1 for j, q in enumerate(paths)})
+    entries = []
+    for qt in sorted(k.coeffs, key=lambda t: tuple(ordinals[i][q] for i, q in enumerate(t))):
+        v = k.coeffs[qt]
+        entries.append(
+            {
+                "q": [ordinals[i][q] for i, q in enumerate(qt)],
+                "sign": v.sign,
+                "num": v.radicand.numerator,
+                "den": v.radicand.denominator,
+            }
+        )
+    return {
+        "N": lams.num_parties,
+        "n": lams.n,
+        "lambdas": [[lam.lambda1, lam.lambda2] for lam in lams],
+        "labels": labels,
+        "entries": entries,
+    }
+
+
+def norm_sq_per_coeff(k: KroneckerVector) -> Fraction:
+    """Squared norm as one Fraction sum over the coefficients."""
+    return sum((v.square() for v in k.coeffs.values()), Fraction(0))
 
 
 def eta_sq_walk(sectors) -> dict[PartitionTuple, Fraction]:

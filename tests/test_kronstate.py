@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import eta_sq_walk
+from oracles import eta_sq_walk, norm_sq_per_coeff, table_json_per_entry
 from wkron import cli, kronstate, protocol
 from wkron.exact import InconsistencyError, RadicalSum, SqrtRational
 from wkron.kronstate import (
@@ -203,8 +203,37 @@ def test_khat_shares_paths_and_values():
     for coeffs in (kv.coeffs, normalized(kv).coeffs):
         assert len({id(v) for v in coeffs.values()}) == len(set(coeffs.values()))
     for i, lam in enumerate(lams):
-        assert len({id(qt[i]) for qt in kv.coeffs}) <= 2**3 * len(standard_paths(lam))
+        assert len({id(qt[i]) for qt in kv.coeffs}) <= len(standard_paths(lam))
     assert len(set(kv.coeffs.values())) * 4 < len(kv.coeffs)
+
+
+def test_kronstate_caches_are_bounded():
+    # each cache holds the whole walk of N=3 n=8 within its bound
+    kronstate._memo_coeffs.cache_clear()
+    kronstate._extensions.cache_clear()
+    kronstate._path_index.cache_clear()
+    for kv in khat_all(3, 8).values():
+        to_table_json(kv)
+    for cache in (kronstate._extensions, kronstate._path_index):
+        info = cache.cache_info()
+        assert 0 < info.currsize <= info.maxsize
+        assert info.misses == info.currsize
+
+
+def test_table_json_equals_per_entry_reference():
+    def check(kv):
+        assert to_table_json(kv) == table_json_per_entry(kv), kv.lams
+        assert kv.norm_sq() == norm_sq_per_coeff(kv), kv.lams
+
+    check(KroneckerVector(ptuple((2, 1), (2, 1), (2, 1)), {}))
+    for num_parties, n in ((3, 7), (4, 6), (3, 8)):
+        for kv in khat_all(num_parties, n).values():
+            nk = normalized(kv)
+            # rebuilt from text, the vector shares no value or path object
+            back = from_table_json(json.loads(json.dumps(to_table_json(nk))))
+            assert len({id(v) for v in back.coeffs.values()}) == len(back.coeffs)
+            for vec in (kv, nk, back):
+                check(vec)
 
 
 def test_eta_sq_equals_khat_norm():
@@ -286,3 +315,14 @@ def test_cli_exits_1_on_a_remainder(monkeypatch, capsys):
     assert cli.main(["prob", "--parties", "3", "--copies", "6"]) == 1
     assert "not divisible" in capsys.readouterr().err
     assert protocol.InconsistencyError is InconsistencyError
+
+
+def test_kron_cross_checks_eta_sq(monkeypatch, capsys):
+    # the stencil's eta^2 must equal the coefficients' squared norm
+    monkeypatch.setattr(kronstate, "eta_sq", lambda lams: Fraction(2))
+    argv = ["kron", "--lambda", "2,1;2,1;2,1"]
+    with pytest.raises(InconsistencyError, match="by the stencil"):
+        cli.cmd_kron(cli.build_parser().parse_args(argv))
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert "internal inconsistency" in captured.err and not captured.out
