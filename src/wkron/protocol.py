@@ -2,14 +2,24 @@
 
 Builds the n-fold tensor power of a state explicitly, applies the multilocal
 Schur transform party by party, projects sectors, extracts the residual
-Schmidt structure, and samples measurement outcomes.  The oracle is exact:
-every amplitude and every B coefficient is split by
-`SqrtRational.radical_parts` into (num/den) * sqrt(d) with d squarefree, and
-sector entries are accumulated as integer numerators per radical class over
-one common denominator (the lcm of the amplitude denominators times the
-per-party B denominator to the power N).  Sector blocks keep that form, nonzero
-cells only, so norms and the rank-1 check run in integers and the recurrence is
-checked against them with zero tolerance.  It is capped at EXACT_CAP qubits.
+Schmidt structure, and samples measurement outcomes.  The oracle is exact.
+`SqrtRational.radical_parts` splits every amplitude into (num/den) * sqrt(d)
+with d squarefree.  All nonzero B coefficients of one Schur label j share
+one squarefree radical u_j (`_party_columns` checks this), so with the
+label radicals pulled out one party's transform is an integer matrix over a
+common denominator D.  The contraction therefore runs on plain ints: each
+term keeps its amplitude's class d beside its key, the terms of one key and
+class sum to c with no radical arithmetic, and c * sqrt(d) *
+prod_i sqrt(u_{j_i}) is split into a numerator and a class once per final
+cell.  Every cell shares one denominator, the lcm of the amplitude
+denominators times D^N.  Sector blocks keep that form, nonzero cells only,
+so norms and the rank-1 check run in integers and the recurrence is checked
+against them with zero tolerance.  Sectors and their cells come in
+first-touch order: by the first amplitude (in dict order) that reaches
+them, then by label indices, the order in which a nested loop over
+amplitudes and then over each party's columns would first touch them.
+Sampling from a raw amplitude list draws over that order.  The oracle is
+capped at EXACT_CAP qubits.
 
 Bit layout (part of the contract): amplitude index is an (N*n)-bit integer,
 party-major, with party i's copy-k qubit at bit position i*n + k counted from
@@ -25,6 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, product
+from operator import itemgetter
 
 import numpy as np
 
@@ -64,6 +75,8 @@ def _single_copy_amplitudes(state) -> dict[tuple[int, ...], SqrtRational]:
     """Exact amplitudes of one copy, keyed by the N-bit pattern tuple."""
     if isinstance(state, (list, tuple)):
         dim = len(state)
+        if dim == 1:
+            raise ValueError("a raw amplitude list needs at least one party: length >= 2")
         N = dim.bit_length() - 1
         if 2**N != dim:
             raise ValueError("raw amplitude list length must be a power of two")
@@ -183,7 +196,8 @@ class SectorBlock:
         weights, qlabels = sector_grid(self.lams)
         m = np.zeros((len(weights), len(qlabels)))
         for (om, qt), cell in self.cells.items():
-            x = sum(float(Fraction(c, self.den)) * math.sqrt(d) for d, c in cell.items())
+            # fsum: a cell's classes come in no fixed order
+            x = math.fsum(float(Fraction(c, self.den)) * math.sqrt(d) for d, c in cell.items())
             m[weights.index(om), qlabels.index(qt)] = x
         return m
 
@@ -203,61 +217,129 @@ def _times_root(cell: dict[int, int], k: int, e: int, acc: dict[int, int]) -> di
 
 @lru_cache(maxsize=None)
 def _party_columns(n: int):
-    """(cols, D, labels): cols maps each computational string s to its
-    nonzero B coefficients as (j, d, K) with B = K/D * sqrt(d), d squarefree,
-    D one common denominator and labels[j] = (lam, omega, q).  Labels are
-    lexicographic in q (the order multilocal_schur's sector dict follows)."""
+    """(cols, roots, D, labels) for one party of n qubits.
+
+    labels[j] = (lam, omega, q) lists the 2^n Schur labels lexicographically
+    in q; multilocal_schur's order breaks ties by j.  Every nonzero
+    B(j, s) of one label carries the same squarefree radical roots[j], so
+    B(j, s) = K/D * sqrt(roots[j]) with D one common denominator and K an
+    integer.  cols[s], indexed by the n-bit integer of the string s (copy 0
+    most significant), lists s's nonzero (j, K) in ascending j.  A label
+    whose column spans two radicals raises InconsistencyError."""
     rows = sorted(
         (item for lam in list_partitions(n) for item in SchurBlock(lam, n).items()),
         key=lambda item: item[0].q,
     )
     labels = [(label.lam, label.omega, label.q) for label, _ in rows]
-    split: dict[tuple[int, ...], list] = {}
-    for j, (_, col) in enumerate(rows):
+    roots = []
+    split: list[list] = [[] for _ in range(2**n)]
+    for j, (label, col) in enumerate(rows):
+        found = set()
         for s, v in col.items():
-            split.setdefault(s, []).append((j, *v.radical_parts()))
-    D = math.lcm(*(den for col in split.values() for *_, den in col))
-    cols = {
-        s: [(j, d, num * (D // den)) for j, d, num, den in col] for s, col in split.items()
-    }
-    return cols, D, labels
+            d, num, den = v.radical_parts()
+            found.add(d)
+            split[int("".join(map(str, s)), 2)].append((j, num, den))
+        if len(found) != 1:
+            raise InconsistencyError(f"Schur label {label} spans radicals {sorted(found)}")
+        roots.append(found.pop())
+    D = math.lcm(*(den for col in split for _, _, den in col))
+    cols = [[(j, num * (D // den)) for j, num, den in col] for col in split]
+    return cols, roots, D, labels
 
 
 def multilocal_schur(state: DenseState) -> dict[PartitionTuple, SectorBlock]:
     n, N = state.copies, state.num_parties
-    cols, D, labels = _party_columns(n)
-    # keys: per-party entries are raw bit tuples, replaced party by party with
-    # label indices; a value {d: c} is sum(c * sqrt(d)) / (A * D**parties_done)
-    parts = {
-        state.stuple_of(idx): a.radical_parts()
-        for idx, a in state.amplitudes.items()
-        if not a.is_zero
-    }
-    A = math.lcm(*(den for _, _, den in parts.values()))
-    current = {key: {d: num * (A // den)} for key, (d, num, den) in parts.items()}
-    for i in range(N):
-        nxt: dict[tuple, dict[int, int]] = {}
-        for key, val in current.items():
-            for j, e, k in cols.get(key[i], ()):
-                nk = key[:i] + (j,) + key[i + 1 :]
-                acc = nxt.get(nk)
-                if acc is None:
-                    acc = nxt[nk] = {}
-                # _times_root(val, k, e, acc) inline: the call costs 13% here
-                for d, c in val.items():
-                    g = math.gcd(d, e)
-                    r = (d // g) * (e // g)
-                    t = acc.get(r, 0) + c * k * g
-                    if t:
-                        acc[r] = t
+    cols, roots, D, labels = _party_columns(n)
+    mask = (1 << n) - 1
+    parts = [(idx, a.radical_parts()) for idx, a in state.amplitudes.items() if not a.is_zero]
+    A = math.lcm(*(den for _, (_, _, den) in parts))
+    # A term (m, s, c) of class d under a key is c * sqrt(d) *
+    # prod sqrt(roots[j]) / (A * D**parties_done), with s the string of the
+    # party contracted next.  The key holds the label indices j of the
+    # parties done and the strings of the parties after s; d is the
+    # squarefree class of the amplitude the term came from, and classes
+    # never mix because the labels' radicals stay outside until the end.
+    # m is the least position (in dict order) of an amplitude whose terms
+    # reach the key and s, in any class: a nested loop over the amplitudes
+    # and then over each party's columns touches the final keys in order of
+    # m and then label indices, and the sectors and cells keep that order.
+    groups: dict[tuple, dict[int, list]] = {}
+    for m, (idx, (d, num, den)) in enumerate(parts):
+        key = tuple([(idx >> (N - 1 - i) * n) & mask for i in range(1, N)])
+        term = (m, idx >> (N - 1) * n, num * (A // den))
+        groups.setdefault(key, {}).setdefault(d, []).append(term)
+    for i in range(N - 1):
+        groups = _contract_party(groups, i, cols, last=False)
+    final = _contract_party(groups, N - 1, cols, last=True)
+    final.sort(key=itemgetter(0, 1))
+    sectors: dict[tuple, dict] = {}
+    for _, key, d, c in final:
+        # c * sqrt(d) * prod sqrt(roots[j]) as one numerator and class
+        for j in key:
+            g = math.gcd(d, roots[j])
+            d, c = (d // g) * (roots[j] // g), c * g
+        lams, om, qt = zip(*[labels[j] for j in key])
+        sectors.setdefault(lams, {}).setdefault((om, qt), {})[d] = c
+    blocks = (SectorBlock(PartitionTuple(lams), A * D**N, c) for lams, c in sectors.items())
+    return {block.lams: block for block in blocks}
+
+
+def _contract_party(groups: dict, i: int, cols, last: bool):
+    """Replace party i's string by each label index j.  The terms (m, s, c)
+    of one key and class sum to sum c * K(j, s) for every j, in integers.
+    A new key's m is the least m of the terms that reach it, in any class
+    and whether or not its sum cancels; a (key, class) whose sum cancels is
+    dropped.  Returns the groups for party i + 1, or after the last party
+    the list of (m, key, d, c)."""
+    out: dict | list = [] if last else {}
+    for key, by_class in groups.items():
+        head = key[:i]
+        if not last:
+            s_next, tail = key[i], key[i + 1 :]
+        # per class, (j, sum, least m of a term reaching j) in the order a
+        # loop over the terms by increasing m first reaches j
+        sums = []
+        for d, terms in by_class.items():
+            if len(terms) == 1:
+                ((m, s, c),) = terms
+                sums.append((d, [(j, c * k, m) for j, k in cols[s]]))
+                continue
+            terms.sort()  # by m: no two terms of one key and class share it
+            acc: dict[int, int] = {}
+            firsts: list[int] = []
+            for m, s, c in terms:
+                for j, k in cols[s]:
+                    if j in acc:
+                        acc[j] += c * k
                     else:
-                        del acc[r]
-        current = {k: v for k, v in nxt.items() if v}
-    cells: dict[PartitionTuple, dict] = {}
-    for key, val in current.items():
-        lams, om, qt = zip(*(labels[j] for j in key))
-        cells.setdefault(PartitionTuple(lams), {})[(om, qt)] = val
-    return {lams: SectorBlock(lams, A * D**N, c) for lams, c in cells.items()}
+                        acc[j] = c * k
+                if len(acc) > len(firsts):
+                    firsts += [m] * (len(acc) - len(firsts))
+            sums.append((d, [(j, c, m) for (j, c), m in zip(acc.items(), firsts)]))
+        if len(sums) > 1:
+            # one m per new key, the least over its classes
+            first: dict[int, int] = {}
+            for _, col in sums:
+                for j, _, m in col:
+                    if m < first.get(j, m + 1):
+                        first[j] = m
+            sums = [(d, [(j, c, first[j]) for j, c, _ in col]) for d, col in sums]
+        for d, col in sums:
+            for j, c, m in col:
+                if not c:
+                    continue
+                if last:
+                    out.append((m, head + (j,), d, c))
+                    continue
+                nk = head + (j,) + tail
+                by = out.get(nk)
+                if by is None:
+                    out[nk] = {d: [(m, s_next, c)]}
+                elif d in by:
+                    by[d].append((m, s_next, c))
+                else:
+                    by[d] = [(m, s_next, c)]
+    return out
 
 
 def sector_grid(lams: PartitionTuple) -> tuple[list[WeightTuple], list[QTuple]]:

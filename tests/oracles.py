@@ -8,12 +8,20 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 from wkron.exact import RadicalSum, SqrtRational
 from wkron.ghz import JointWeight, joint_weights, multinomial_theta
 from wkron.kronstate import KroneckerVector, _down_set, _predecessors
-from wkron.partitions import PartitionTuple, TwoRowPartition, dim_irrep, w_admissible
-from wkron.schur import SchurLabel, b_coeff, standard_paths
+from wkron.partitions import (
+    PartitionTuple,
+    TwoRowPartition,
+    dim_irrep,
+    list_partitions,
+    w_admissible,
+)
+from wkron.protocol import DenseState, SectorBlock
+from wkron.schur import SchurBlock, SchurLabel, b_coeff, standard_paths
 from wkron.wstates import a_factor
 
 
@@ -169,3 +177,66 @@ def eta_sq_walk(sectors) -> dict[PartitionTuple, Fraction]:
             for b in levels[m - 1]
         }
     return {s: prev.get(tuple(lam.lambda2 for lam in s), Fraction(0)) for s in sectors}
+
+
+@lru_cache(maxsize=None)
+def _party_columns_per_class(n: int):
+    """(cols, D, labels): cols maps each computational string s to its
+    nonzero B coefficients as (j, d, K) with B = K/D * sqrt(d), d squarefree,
+    D one common denominator and labels[j] = (lam, omega, q), lexicographic
+    in q."""
+    rows = sorted(
+        (item for lam in list_partitions(n) for item in SchurBlock(lam, n).items()),
+        key=lambda item: item[0].q,
+    )
+    labels = [(label.lam, label.omega, label.q) for label, _ in rows]
+    split: dict[tuple[int, ...], list] = {}
+    for j, (_, col) in enumerate(rows):
+        for s, v in col.items():
+            split.setdefault(s, []).append((j, *v.radical_parts()))
+    D = math.lcm(*(den for col in split.values() for *_, den in col))
+    cols = {
+        s: [(j, d, num * (D // den)) for j, d, num, den in col] for s, col in split.items()
+    }
+    return cols, D, labels
+
+
+def multilocal_schur_reference(state: DenseState) -> dict[PartitionTuple, SectorBlock]:
+    """`protocol.multilocal_schur` with the radicals inside the contraction:
+    every value is a {radical class: numerator} dict and every (term, column)
+    pair multiplies radicals through a gcd.  Keys are touched in nested-loop
+    order (amplitudes in dict order, then columns in label order), which
+    fixes the order of the sectors and of their cells."""
+    n, N = state.copies, state.num_parties
+    cols, D, labels = _party_columns_per_class(n)
+    # keys: per-party entries are raw bit tuples, replaced party by party with
+    # label indices; a value {d: c} is sum(c * sqrt(d)) / (A * D**parties_done)
+    parts = {
+        state.stuple_of(idx): a.radical_parts()
+        for idx, a in state.amplitudes.items()
+        if not a.is_zero
+    }
+    A = math.lcm(*(den for _, _, den in parts.values()))
+    current = {key: {d: num * (A // den)} for key, (d, num, den) in parts.items()}
+    for i in range(N):
+        nxt: dict[tuple, dict[int, int]] = {}
+        for key, val in current.items():
+            for j, e, k in cols.get(key[i], ()):
+                nk = key[:i] + (j,) + key[i + 1 :]
+                acc = nxt.get(nk)
+                if acc is None:
+                    acc = nxt[nk] = {}
+                for d, c in val.items():
+                    g = math.gcd(d, e)
+                    r = (d // g) * (e // g)
+                    t = acc.get(r, 0) + c * k * g
+                    if t:
+                        acc[r] = t
+                    else:
+                        del acc[r]
+        current = {k: v for k, v in nxt.items() if v}
+    cells: dict[PartitionTuple, dict] = {}
+    for key, val in current.items():
+        lams, om, qt = zip(*(labels[j] for j in key))
+        cells.setdefault(PartitionTuple(lams), {})[(om, qt)] = val
+    return {lams: SectorBlock(lams, A * D**N, c) for lams, c in cells.items()}

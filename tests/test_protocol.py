@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import sector_cell
+from oracles import multilocal_schur_reference, sector_cell
 
 from wkron import ghz, protocol
+from wkron.cli import main as cli_main
 from wkron.exact import RadicalSum, SqrtRational
 from wkron.kronstate import khat, normalized
 from wkron.partitions import ptuple, reduced_entropy, w_admissible
@@ -28,7 +29,7 @@ from wkron.protocol import (
     tensor_power,
     verify_report,
 )
-from wkron.schur import SchurLabel, b_coeff
+from wkron.schur import SchurBlock, SchurLabel, _b_table, b_coeff
 from wkron.wstates import WClassState, phi_hat, w_normal_form
 
 
@@ -205,6 +206,118 @@ def test_multilocal_schur_equals_b_sum(case):
     )
     # one sector's norm may be irrational when radicals mix, so sum x*x over all
     assert total.as_rational() == one_copy**n
+
+
+def _assert_same_blocks(got, want):
+    """Equal sector blocks, with the order of the sectors and of their cells."""
+    assert list(got) == list(want)
+    for lams, block in want.items():
+        assert got[lams].den == block.den, lams
+        assert got[lams].cells == block.cells, lams
+        assert list(got[lams].cells) == list(block.cells), lams
+
+
+_REFERENCE_CASES = [
+    *((w_normal_form(3), n) for n in range(1, 7)),
+    *((w_normal_form(4), n) for n in range(1, 5)),
+    (w_normal_form(5), 3),
+    (w_normal_form(6), 3),
+    *((w_normal_form(2), n) for n in (7, 8, 9)),
+    (WClassState((Fraction(1, 10), Fraction(2, 10), Fraction(3, 10), Fraction(4, 10))), 4),
+    (GHZState(Fraction(1, 3), 3), 6),
+    (GHZState(Fraction(2, 7), 4), 4),
+    ([sq("1/2"), Fraction(1, 4), 0, Fraction(1, 4), sq("1/8"), sq("1/8"), Fraction(1, 4),
+      Fraction(1, 4)], 2),
+    ([sq("5/7")] + [0] * 6 + [sq("2/7")], 3),
+    ([Fraction(v, 5) for v in (3, -2, 2, 0, 0, 2, 0, -2)], 4),
+    ([sq("1/6"), -sq("1/2"), sq("1/3"), 0], 6),
+    ([sq("1/6"), sq("1/2"), -sq("1/3"), sq("2/3"), Fraction(1, 2), 0, -sq("3/5"),
+      sq("7/24")], 3),
+    ([sq("1/6"), sq("1/2"), sq("1/3"), 0], 7),
+    # a class cancels at keys where another survives, so a key's first touch
+    # must count every class, cancelled ones included
+    ([1, -sq(2), sq("1/2"), -sq(2), -1, 1, -1, -sq(2)], 3),
+]
+
+
+@pytest.mark.parametrize("state, n", _REFERENCE_CASES)
+def test_multilocal_schur_equals_nested_loop_reference(state, n):
+    dense = tensor_power(state, n)
+    _assert_same_blocks(multilocal_schur(dense), multilocal_schur_reference(dense))
+
+
+def _signed_sqrt(k: int, m: int, negative: bool) -> SqrtRational:
+    x = SqrtRational.sqrt(Fraction(k, m))
+    return -x if negative else x
+
+
+@st.composite
+def _mixed_radical_case(draw):
+    """A raw list of entries +-sqrt(k/m), zeros included, N in {2, 3} and
+    n <= 4.  The terms fall into the radical classes 1, 2, 3 and 6, and so
+    few magnitudes make a class cancel at a key often while another survives."""
+    N = draw(st.sampled_from((2, 3)))
+    entry = st.builds(_signed_sqrt, st.integers(0, 3), st.integers(1, 2), st.booleans())
+    return draw(st.lists(entry, min_size=2**N, max_size=2**N)), draw(st.integers(1, 4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_mixed_radical_case())
+def test_multilocal_schur_equals_reference_on_mixed_radicals(case):
+    raw, n = case
+    dense = tensor_power(raw, n)
+    _assert_same_blocks(multilocal_schur(dense), multilocal_schur_reference(dense))
+
+
+def test_party_columns_one_radical_per_label():
+    # every nonzero B(j, s) = K/D * sqrt(roots[j]), for every size the
+    # 18-qubit cap admits with two or more parties
+    for n in range(1, 10):
+        cols, roots, D, labels = protocol._party_columns(n)
+        assert len(labels) == len(roots) == len(cols) == 2**n
+        table = _b_table(n)
+        seen = 0
+        for s, col in enumerate(cols):
+            bits = tuple((s >> (n - 1 - k)) & 1 for k in range(n))
+            for j, K in col:
+                rational = SqrtRational.from_rational(Fraction(K, D))
+                assert K and table[labels[j]][bits] == rational * SqrtRational.sqrt(roots[j])
+                seen += 1
+        assert seen == sum(len(col) for col in table.values())
+
+
+def test_party_columns_rejects_a_label_spanning_two_radicals(monkeypatch, capsys):
+    class OneEntryTimesSqrt2(SchurBlock):
+        # from n = 2 on, the first entry of the block (n,0)'s first column of
+        # two or more entries is multiplied by sqrt(2)
+        def items(self):
+            out, done = [], self.lam.lambda2 > 0
+            for label, col in super().items():
+                if not done and len(col) > 1:
+                    s = next(iter(col))
+                    col, done = {**col, s: col[s] * SqrtRational.sqrt(2)}, True
+                out.append((label, col))
+            return out
+
+    protocol._party_columns.cache_clear()
+    protocol._w_sectors.cache_clear()
+    monkeypatch.setattr(protocol, "SchurBlock", OneEntryTimesSqrt2)
+    try:
+        with pytest.raises(InconsistencyError, match="spans radicals"):
+            protocol._party_columns(3)
+        assert cli_main(["verify", "--nmax3", "3", "--nmax4", "0"]) == 1
+        assert "internal inconsistency" in capsys.readouterr().err
+    finally:
+        protocol._party_columns.cache_clear()
+        protocol._w_sectors.cache_clear()
+
+
+def test_raw_list_of_one_amplitude_is_rejected():
+    # length 1 would mean zero parties
+    for call in (lambda: sector_distribution([SqrtRational.one()], 2),
+                 lambda: tensor_power([1], 1)):
+        with pytest.raises(ValueError, match="at least one party"):
+            call()
 
 
 def test_residual_schmidt_w_rank1():
