@@ -209,7 +209,7 @@ def main(argv=None) -> int:
     except protocol.InconsistencyError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, protocol.SizeCapError) as exc:
+    except ValueError as exc:
         print(f"bad input: {exc}", file=sys.stderr)
         return 2
 

@@ -9,6 +9,14 @@ so one sector costs only its down-set.  The recurrence assigns nonzero formal
 values to sectors outside the W-class admissible set, whose physical amplitude
 is zero; those are zeroed at every level before propagating.
 
+One step of the recurrence has one rule, `_boxes`.  At level m each party,
+with second row b, gives back one box: its last first-row box when 2b < m,
+with share b of m - num and factor m - 2b of den, or its last second-row box
+when b >= 1, with share m - b + 1 and factor m - 2b + 2.  The predecessor
+reached by the boxes' rows qn contributes its coefficients, each path
+extended by qn, times f = sign(num) * sqrt(num^2 / den), where num = m - the
+sum of the shares and den the product of the factors; num = 0 drops it.
+
 The squared norm eta^2 follows a scalar recurrence of its own, because the
 pieces a sector gets from different predecessors are orthogonal.  Scaled by
 the hook products H(a, c) = (a+1)! c! / (a-c+1) = m! / dim (a, c), it runs
@@ -60,63 +68,30 @@ class KroneckerVector:
         return sorted(v.square() for v in self.coeffs.values())
 
 
-def f_coeff(lams: PartitionTuple, qn: tuple[int, ...], n: int) -> SqrtRational:
-    """One-step recurrence factor for extending every party's path by qn.
-
-    lams is the partition tuple at level n (after adding the boxes); the
-    factor vanishes whenever the denominator does.
-    """
-    if lams.n != n:
-        raise ValueError(f"{lams} is not a tuple of partitions of {n}")
-    if len(qn) != lams.num_parties:
-        raise ValueError("one bit per party required")
-    num = n
-    den_rad = Fraction(1)
-    for lam, q in zip(lams, qn):
-        if q:
-            if lam.lambda2 < 1:
-                raise ValueError(f"cannot remove a second-row box from {lam}")
-            num -= lam.lambda1 + 1
-        else:
-            if lam.lambda1 - 1 < lam.lambda2:
-                raise ValueError(f"cannot remove a first-row box from {lam}")
-            num -= lam.lambda2
-        den_rad *= lam.nu + 2 * q
-    if den_rad == 0 or num == 0:
-        return SqrtRational.zero()
-    return SqrtRational(1 if num > 0 else -1, Fraction(num * num) / den_rad)
-
-
 def _sector_coeffs(lams: PartitionTuple) -> dict[QTuple, SqrtRational]:
     """Coefficients of an admissible sector, built from its admissible
-    predecessors lams - qn (one box removed per party), each extended by qn
-    and scaled by f_coeff(lams, qn, n).  Not cached itself: only the lower
-    levels are memoized, so the caller owns the returned dict.
+    predecessors (one box removed per party, see `_predecessors`), each
+    extended by the removed boxes' rows qn and scaled by their factor f.
+    Not cached itself: only the lower levels are memoized, so the caller
+    owns the returned dict.
     """
     num_parties, n = lams.num_parties, lams.n
     if n == 1:
         return {((0,),) * num_parties: SqrtRational.one()}
+    b = tuple(lam.lambda2 for lam in lams)
     out: dict[QTuple, SqrtRational] = {}
     values: dict[SqrtRational, SqrtRational] = {}
-    for qn in product((0, 1), repeat=num_parties):
-        parts = (TwoRowPartition(lam.lambda1 - 1 + q, lam.lambda2 - q) for lam, q in zip(lams, qn))
-        try:
-            prev = PartitionTuple(tuple(parts))
-        except ValueError:  # some party has no such box to remove
-            continue
-        # inadmissible intermediate sectors are zeroed here
-        if not w_admissible(prev):
-            continue
-        f = f_coeff(lams, qn, n)
-        if f.is_zero:
-            continue
+    for p, num, den in _predecessors(b, n):
+        prev = PartitionTuple(tuple(TwoRowPartition(n - 1 - pi, pi) for pi in p))
+        f = SqrtRational(1 if num > 0 else -1, Fraction(num * num, den))
         prev_coeffs = _memo_coeffs(prev)
         # one object per distinct path and value keeps a sector small
         def scale(v):
             v = v * f
             return values.setdefault(v, v)
 
-        grown = _partywise([_extensions(lam, q) for lam, q in zip(prev, qn)], prev_coeffs)
+        qn = map(int.__sub__, b, p)
+        grown = _partywise(list(map(_extensions, prev, qn)), prev_coeffs)
         out.update(zip(grown, _per_value(prev_coeffs, scale)))
     return out
 
@@ -196,9 +171,9 @@ def eta_sq_table(sectors) -> dict[PartitionTuple, Fraction]:
         E(b) = sum_qn num^2 * prod_i r_i * E(b - qn) / (m * prod_i (m - 2 b_i + 1))
     over the second-row tuple b: r_i = m - b_i + 1 when party i gives back a
     first-row box and b_i when it gives back a second-row box, and num is
-    f_coeff's numerator.  Every E is an integer (observed on every sector the
-    tests sweep, not proven), so each division is exact; one with a remainder
-    raises InconsistencyError.  E = 1 at n = 1.
+    f's numerator (see `_boxes`).  Every E is an integer (observed on every
+    sector the tests sweep, not proven), so each division is exact; one with
+    a remainder raises InconsistencyError.  E = 1 at n = 1.
 
     The sweep runs over one flat list indexed by the box of second-row
     tuples prod_i [0, max over the targets of b_i], where a stride turns
@@ -282,16 +257,9 @@ def eta_sq_table(sectors) -> dict[PartitionTuple, Fraction]:
 
 def _party_steps(m: int, hi: int, stride: int) -> list[tuple[tuple[int, int, int], ...]]:
     """For each second row bi = 0..hi of one party at level m: (index shift,
-    r, share of m - num) of each box the party can give back."""
-    out = []
-    for bi in range(hi + 1):
-        step = ()
-        if 2 * bi < m:  # the last first-row box; the first row stays the longer
-            step += ((0, m - bi + 1, bi),)
-        if bi:  # the last second-row box
-            step += ((stride, bi, m - bi + 1),)
-        out.append(step)
-    return out
+    r, share of m - num) of each box the party can give back, r = m + 1 - share."""
+    return [tuple(((bi - p) * stride, m + 1 - share, share) for p, share, _ in _boxes(bi, m))
+            for bi in range(hi + 1)]
 
 
 def _down_set(top: set[tuple[int, ...]], n: int) -> list[set[tuple[int, ...]]]:
@@ -307,24 +275,27 @@ def _down_set(top: set[tuple[int, ...]], n: int) -> list[set[tuple[int, ...]]]:
 
 
 def _predecessors(b: tuple[int, ...], m: int):
-    """(second-row tuple, num, den) of each admissible sector at level m - 1
+    """(second-row tuple p, num, den) of each admissible sector at level m - 1
     from which the recurrence reaches b at level m with a nonzero factor
-    f_coeff = sign(num) * sqrt(num^2 / den)."""
-    # per party: (second row before, its share of m - num, its factor of den)
-    # for each box the party can give back
-    steps = []
-    for bi in b:
-        step = []
-        if 2 * bi < m:  # the last first-row box; the first row stays the longer
-            step.append((bi, bi, m - 2 * bi))
-        if bi:  # the last second-row box
-            step.append((bi - 1, m - bi + 1, m - 2 * bi + 2))
-        steps.append(step)
-    for step in product(*steps):
+    f = sign(num) * sqrt(num^2 / den), the removed boxes' rows b - p in the
+    order of `product((0, 1), repeat=N)`."""
+    for step in product(*(_boxes(bi, m) for bi in b)):
         p, used, dens = zip(*step)
         s = sum(p)
         if s < m and 2 * max(p) <= s and (num := m - sum(used)):
             yield p, num, math.prod(dens)
+
+
+def _boxes(bi: int, m: int) -> tuple[tuple[int, int, int], ...]:
+    """The step rule for one party with second row bi at level m: (second
+    row before, share of m - num, factor of den) of each box it can give
+    back, first row before second."""
+    out = ()
+    if 2 * bi < m:  # the last first-row box; the first row stays the longer
+        out += ((bi, bi, m - 2 * bi),)
+    if bi:  # the last second-row box
+        out += ((bi - 1, m - bi + 1, m - 2 * bi + 2),)
+    return out
 
 
 def eta_sq(lams: PartitionTuple) -> Fraction:

@@ -75,8 +75,8 @@ def _single_copy_amplitudes(state) -> dict[tuple[int, ...], SqrtRational]:
     """Exact amplitudes of one copy, keyed by the N-bit pattern tuple."""
     if isinstance(state, (list, tuple)):
         dim = len(state)
-        if dim == 1:
-            raise ValueError("a raw amplitude list needs at least one party: length >= 2")
+        if dim < 4:
+            raise ValueError("a raw amplitude list needs at least two parties: length >= 4")
         N = dim.bit_length() - 1
         if 2**N != dim:
             raise ValueError("raw amplitude list length must be a power of two")

@@ -12,7 +12,6 @@ from wkron.kronstate import (
     eta,
     eta_sq,
     eta_sq_table,
-    f_coeff,
     from_table_json,
     khat,
     khat_all,
@@ -22,7 +21,7 @@ from wkron.kronstate import (
     verify_lemma1,
 )
 from wkron.partitions import kron_coeff, ptuple, w_admissible
-from wkron.probw import p_w
+from wkron.probw import p_w, p_w_counting
 from wkron.protocol import all_partition_tuples
 from wkron.schur import rep_matrix, standard_paths
 from wkron.wstates import w_normal_form, z_norm
@@ -32,12 +31,13 @@ def sq(x):
     return SqrtRational.sqrt(Fraction(x))
 
 
-def test_f_coeff_examples():
-    assert f_coeff(ptuple((2, 1), (2, 1), (2, 1)), (0, 0, 0), 3) == SqrtRational.zero()
-    assert f_coeff(ptuple((2, 1), (2, 1), (2, 1)), (1, 1, 1), 3) == -sq("4/3")  # -2/sqrt(3)
-    assert f_coeff(ptuple((2, 0), (2, 0), (2, 0)), (0, 0, 0), 2) == sq("1/2")
-    with pytest.raises(ValueError):
-        f_coeff(ptuple((2, 0), (2, 0), (2, 0)), (1, 0, 0), 2)  # no second-row box
+def test_predecessors_give_the_papers_factors():
+    # (2,1)^3 at n=3: f = -2/sqrt(3) for the all-second-row step; the
+    # all-first-row step is absent because its factor is 0
+    assert list(kronstate._predecessors((1, 1, 1), 3)) == [
+        ((1, 1, 0), -2, 3), ((1, 0, 1), -2, 3), ((0, 1, 1), -2, 3), ((0, 0, 0), -6, 27)]
+    # (2,0)^3 at n=2: f = sqrt(1/2), and no party has a second-row box
+    assert list(kronstate._predecessors((0, 0, 0), 2)) == [((0, 0, 0), 2, 8)]
 
 
 def test_khat_examples():
@@ -326,3 +326,26 @@ def test_kron_cross_checks_eta_sq(monkeypatch, capsys):
     assert cli.main(argv) == 1
     captured = capsys.readouterr()
     assert "internal inconsistency" in captured.err and not captured.out
+
+
+def test_an_error_in_the_step_rule_fails_every_independent_route(monkeypatch, capsys):
+    # coefficients, eta^2 and the down-set all read kronstate._boxes; the dense
+    # oracle, the counting route of p_w and the stencil-vs-norm check must
+    # each catch one wrong share
+    boxes = kronstate._boxes
+
+    def corrupted(bi, m):
+        # the second-row share at b = 1 off by one
+        return tuple((p, share + (bi == 1 and p < bi), den) for p, share, den in boxes(bi, m))
+
+    kronstate._memo_coeffs.cache_clear()
+    try:
+        with monkeypatch.context() as mp:
+            mp.setattr(kronstate, "_boxes", corrupted)
+            assert protocol.verify_case(3, 4)["mismatches"]
+            assert cli.main(["kron", "--lambda", "2,1;2,1;2,1"]) == 1
+            assert "by the stencil" in capsys.readouterr().err
+            lams = ptuple((3, 1), (3, 1), (3, 1))
+            assert p_w(lams) != p_w_counting(lams)
+    finally:
+        kronstate._memo_coeffs.cache_clear()

@@ -69,6 +69,14 @@ def test_tensor_power_size_cap():
         tensor_power([0.5, SqrtRational.sqrt(Fraction(3, 4)), 0, 0], 1)
 
 
+def test_one_party_raw_list_is_refused_before_any_work():
+    # one party would let the qubit cap admit 18 copies of one party's Schur table
+    with pytest.raises(ValueError, match="at least two parties"):
+        sector_distribution([1, 0], 12)
+    with pytest.raises(ValueError, match="at least two parties"):
+        tensor_power([1, 0], 1)
+
+
 def test_bit_layout_party_major():
     w = w_normal_form(2)
     d = tensor_power(w, 2)
@@ -316,7 +324,7 @@ def test_raw_list_of_one_amplitude_is_rejected():
     # length 1 would mean zero parties
     for call in (lambda: sector_distribution([SqrtRational.one()], 2),
                  lambda: tensor_power([1], 1)):
-        with pytest.raises(ValueError, match="at least one party"):
+        with pytest.raises(ValueError, match="at least two parties"):
             call()
 
 
