@@ -10,7 +10,6 @@ from .kronstate import KroneckerVector, eta, eta_sq, khat, normalized, verify_le
 from .partitions import (
     PartitionTuple,
     TwoRowPartition,
-    character,
     dim_irrep,
     kron_coeff,
     list_partitions,
@@ -38,7 +37,6 @@ __all__ = [
     "sym_eig",
     "PartitionTuple",
     "TwoRowPartition",
-    "character",
     "dim_irrep",
     "kron_coeff",
     "list_partitions",

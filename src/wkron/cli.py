@@ -54,6 +54,10 @@ def _parse_state(spec: str, parties: int | None):
 
 def cmd_kron(args) -> int:
     lams = parse_partition_tuple(args.lam)
+    if lams.n > protocol.KRON_N_CAP:
+        print(f"sector {lams} has n = {lams.n}, over the cap of n <= {protocol.KRON_N_CAP}",
+              file=sys.stderr)
+        return 2
     if args.parties is not None and args.parties != lams.num_parties:
         print(
             f"--parties {args.parties} inconsistent with {lams.num_parties}-party lambda",
@@ -71,7 +75,7 @@ def cmd_kron(args) -> int:
             file=sys.stderr,
         )
         return 2
-    k = kron_coeff(lams)  # before khat: its budget refuses large n
+    k = kron_coeff(lams)
     kv = kronstate.khat(lams.num_parties, lams.n, lams)
     if kv.is_zero:
         print(f"sector {lams} carries no Kronecker support", file=sys.stderr)

@@ -205,12 +205,12 @@ def eta_sq_table(sectors) -> dict[PartitionTuple, Fraction]:
     prev[0] = 1
     for m in range(2, n + 1):
         cur = [0] * len(prev)
-        steps = [_party_steps(m, h, stride) for h, stride in zip(hi, strides)]
+        top = [min(h, m // 2) for h in hi]
+        steps = [_party_steps(m, h, stride) for h, stride in zip(top, strides)]
         dens = [m - 2 * bi + 1 for bi in range(max(hi) + 1)]
         # a party's second row loses at most one box per level, so a cell
         # below low - (n - m) reaches no target
         lo = [max(0, x - n + m) for x in low]
-        top = [min(h, m // 2) for h in hi]
 
         def walk(i, b, idx, total, terms):
             # b: the second rows of parties < i; terms: (index shift, prod r,

@@ -452,6 +452,12 @@ def _nonzero_normalized(rows) -> list[tuple[PartitionTuple, Fraction]]:
 # 214 MB) and 21 s and 604 MB for (9,2)^4 at n=11 (3.75M), while khat alone
 # took 12.8 s and 646 MB for (8,4)^3 (20.8M), on a 2-core VM with Python 3.11.
 KRON_SUPPORT_CAP = 4_000_000
+# Bound on n for `wkron kron`, checked before any dimension is formed.  Past
+# it, stages outside the Kronecker coefficient run long even in a small
+# support: (400,0)^3 spent 3.3 s in Z and (299,1;299,1;300,0) 5.6 s in khat,
+# and the eta of (300,0)^10 has more digits than Python's 4300-digit
+# int-to-str limit lets JSON write ((48,0)^80 already stops there).
+KRON_N_CAP = 48
 
 
 def sample_outcomes(state, n: int, seed: int, count: int) -> list[PartitionTuple]:

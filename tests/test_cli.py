@@ -7,6 +7,7 @@ from itertools import product
 
 import pytest
 
+from wkron import kronstate
 from wkron.cli import main
 from wkron.kronstate import from_table_json
 from wkron.partitions import ptuple
@@ -103,10 +104,9 @@ def test_kron_parties_mismatch_exit_2(capsys):
         (["verify", "--nmax3", "-1"], "nmax must be >= 0"),
         # refused before the n <= 6 cases run
         (["verify", "--nmax3", "7", "--nmax4", "1"], "21 qubits exceeds the 18-qubit dense cap"),
-        # refused by kron_coeff's cycle-type budget before khat recurses or
-        # p(n) cycle types are enumerated
-        (["kron", "--lambda", "600,0;600,0;600,0"], "p(600) exceeds the budget"),
-        (["kron", "--lambda", "200,0;200,0;200,0"], "p(200) exceeds the budget"),
+        # refused by kron's n cap before any dimension is formed
+        (["kron", "--lambda", "600,0;600,0;600,0"], "n = 600, over the cap of n <= 48"),
+        (["kron", "--lambda", "200,0;200,0;200,0"], "n = 200, over the cap of n <= 48"),
         # refused by the support cap (4.4e9 and 5.9e16 slots) before khat runs
         (["kron", "--lambda", "10,5;10,5;10,5"], "support 4394826072 (the product"),
         (["kron", "--lambda", "16,8;16,8;16,8"], "over the cap of 4000000"),
@@ -117,6 +117,18 @@ def test_out_of_range_input_exit_2(capsys, argv, reason):
     assert code == 2
     assert out == ""
     assert reason in err
+
+
+@pytest.mark.parametrize("n", [49, 600, 10**6, 10**9])
+def test_kron_refuses_n_over_cap_before_dimensions(monkeypatch, capsys, n):
+    def no_dims(lams):
+        raise AssertionError("sector_dims ran before the n cap")
+
+    monkeypatch.setattr(kronstate, "sector_dims", no_dims)
+    lam = f"{n - n // 3},{n // 3}"
+    code, out, err = run(["kron", "--lambda", f"{lam};{lam};{lam}"], capsys)
+    assert code == 2 and out == ""
+    assert f"n = {n}, over the cap of n <= 48" in err
 
 
 def test_parties_matching_weights_or_w(capsys):

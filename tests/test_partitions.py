@@ -2,16 +2,13 @@ import math
 
 import pytest
 
-from oracles import all_cycle_types, class_size
+from oracles import all_cycle_types, character, class_size, kron_coeff_young
 from wkron.partitions import (
-    KRON_CLASS_BUDGET,
     TwoRowPartition,
-    character,
     dim_irrep,
     kron_coeff,
     list_partitions,
     parse_partition_tuple,
-    partition_counts,
     ptuple,
     reduced_entropy,
     w_admissible,
@@ -105,20 +102,30 @@ def test_kron_coeff_pinned_values(lams, coeff):
     assert kron_coeff(parse_partition_tuple(lams)) == coeff
 
 
-def test_partition_counts_match_cycle_type_enumeration():
-    counts = partition_counts(10**9)
-    assert [len(all_cycle_types(n)) for n in range(1, 26)] == list(counts[1:26])
-    assert counts[100] == 190569292
-    # the run stops before the first count over the limit
-    assert max(counts) <= 10**9 < partition_counts(10**12)[len(counts)]
+@pytest.mark.parametrize("num_parties, nmax", [(2, 12), (3, 10), (4, 7), (5, 5)])
+def test_kron_coeff_matches_young_rule_character_sum(num_parties, nmax):
+    from itertools import product
+
+    for n in range(1, nmax + 1):
+        for combo in product(list_partitions(n), repeat=num_parties):
+            lams = ptuple(*(lam.as_tuple() for lam in combo))
+            assert kron_coeff(lams) == kron_coeff_young(lams), lams
 
 
-def test_kron_coeff_refuses_cycle_types_over_budget():
-    counts = partition_counts(KRON_CLASS_BUDGET)
-    assert len(counts) - 1 == 48 and counts[-1] == 147273  # p(49) = 173525 is over
-    for n in (49, 600, 10**9):
-        with pytest.raises(ValueError, match=rf"p\({n}\) exceeds the budget"):
-            kron_coeff(ptuple((n, 0), (n, 0), (n, 0)))
+@pytest.mark.parametrize("n, coeff", [(90, 16), (120, 21), (150, 26), (210, 36)])
+def test_kron_coeff_ghz_typical_sectors(n, coeff):
+    # the exact GHZ Gram ranks of the typical sector (2n/3, n/3)^3, far past
+    # the character sum's reach
+    assert kron_coeff(ptuple(*[(n - n // 3, n // 3)] * 3)) == coeff
+
+
+def test_kron_coeff_refuses_work_over_budget():
+    # (2^5 - 1) * 11^5 * 21 = 104844201 cell updates, about 8 s of work
+    with pytest.raises(ValueError, match="104844201 cell updates, over the budget"):
+        kron_coeff(ptuple(*[(20, 10)] * 5))
+    for n in (10**6, 10**9):
+        with pytest.raises(ValueError, match="over the budget"):
+            kron_coeff(ptuple((n, n), (n, n), (2 * n, 0)))
 
 
 def test_kron_coeff_symmetric_under_permutation():

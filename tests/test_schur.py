@@ -99,6 +99,12 @@ def test_schur_block_identity_n1():
     ]
 
 
+def test_schur_block_refuses_sizes_over_the_cap():
+    # a B table past n = 12 does not fit in a few GB; refused before any is built
+    with pytest.raises(ValueError, match="n=13 exceeds the n<=12 size cap"):
+        SchurBlock(TwoRowPartition(7, 6), 13)
+
+
 def _dot(col1, col2):
     acc = RadicalSum.zero()
     small, big = (col1, col2) if len(col1) <= len(col2) else (col2, col1)
