@@ -224,6 +224,8 @@ def theorem2_form(state, n: int, nu) -> MultiPoly | None:
     nu = tuple(int(v) for v in nu)
     if len(nu) != N:
         raise ValueError("one x-degree per party required")
+    if n < 1 or min(nu) < 0:
+        raise ValueError(f"need n >= 1 and x-degrees >= 0, got n = {n}, nu = {nu}")
     if any((v - n) % 2 for v in nu):
         return None
     w2 = sum(nu) - (N - 2) * n

@@ -12,8 +12,8 @@ is :class:`RadicalSum`, a private accumulator over squarefree radicands used
 by the S_n representation matrices and reduced density matrices; it collapses
 back to a single SqrtRational (or raises) at module boundaries.  The
 brute-force oracle keeps integer numerators per radical class instead, from
-:meth:`SqrtRational.radical_parts`, the one place that splits a value into
-its squarefree radical and rational factor.
+:meth:`SqrtRational.radical_parts` and, on integer B coefficients, from
+`schur.party_columns`: the two places that split off a squarefree radical.
 """
 
 from __future__ import annotations

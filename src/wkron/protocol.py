@@ -4,22 +4,22 @@ Builds the n-fold tensor power of a state explicitly, applies the multilocal
 Schur transform party by party, projects sectors, extracts the residual
 Schmidt structure, and samples measurement outcomes.  The oracle is exact.
 `SqrtRational.radical_parts` splits every amplitude into (num/den) * sqrt(d)
-with d squarefree.  All nonzero B coefficients of one Schur label j share
-one squarefree radical u_j (`_party_columns` checks this), so with the
-label radicals pulled out one party's transform is an integer matrix over a
-common denominator D.  The contraction therefore runs on plain ints: each
-term keeps its amplitude's class d beside its key, the terms of one key and
-class sum to c with no radical arithmetic, and c * sqrt(d) *
-prod_i sqrt(u_{j_i}) is split into a numerator and a class once per final
-cell.  Every cell shares one denominator, the lcm of the amplitude
-denominators times D^N.  Sector blocks keep that form, nonzero cells only,
-so norms and the rank-1 check run in integers and the recurrence is checked
-against them with zero tolerance.  Sectors and their cells come in
-first-touch order: by the first amplitude (in dict order) that reaches
-them, then by label indices, the order in which a nested loop over
-amplitudes and then over each party's columns would first touch them.
-Sampling from a raw amplitude list draws over that order.  The oracle is
-capped at EXACT_CAP qubits.
+with d squarefree.  One party's transform comes from `schur.party_columns`,
+which builds the B coefficients and checks that all nonzero ones of one
+Schur label j share one squarefree radical u_j; with the label radicals
+pulled out it is an integer matrix over a common denominator D.  This module
+keeps only the contraction, and it runs on plain ints: each term keeps its
+amplitude's class d beside its key, the terms of one key and class sum to c
+with no radical arithmetic, and c * sqrt(d) * prod_i sqrt(u_{j_i}) is split
+into a numerator and a class once per final cell.  Every cell shares one
+denominator, the lcm of the amplitude denominators times D^N.  Sector blocks
+keep that form, nonzero cells only, so norms and the rank-1 check run in
+integers and the recurrence is checked against them with zero tolerance.
+Sectors and their cells come in first-touch order: by the first amplitude
+(in dict order) that reaches them, then by label indices, the order in which
+a nested loop over amplitudes and then over each party's columns would first
+touch them.  Sampling from a raw amplitude list draws over that order.  The
+oracle is capped at EXACT_CAP qubits.
 
 Bit layout (part of the contract): amplitude index is an (N*n)-bit integer,
 party-major, with party i's copy-k qubit at bit position i*n + k counted from
@@ -44,7 +44,7 @@ from . import probw
 from .exact import InconsistencyError, SqrtRational
 from .kronstate import KroneckerVector, khat, normalized
 from .partitions import PartitionTuple, list_partitions, w_admissible
-from .schur import SchurBlock, standard_paths
+from .schur import party_columns, standard_paths
 from .wstates import WClassState, phi_hat, w_normal_form
 
 EXACT_CAP = 18
@@ -215,41 +215,9 @@ def _times_root(cell: dict[int, int], k: int, e: int, acc: dict[int, int]) -> di
     return acc
 
 
-@lru_cache(maxsize=None)
-def _party_columns(n: int):
-    """(cols, roots, D, labels) for one party of n qubits.
-
-    labels[j] = (lam, omega, q) lists the 2^n Schur labels lexicographically
-    in q; multilocal_schur's order breaks ties by j.  Every nonzero
-    B(j, s) of one label carries the same squarefree radical roots[j], so
-    B(j, s) = K/D * sqrt(roots[j]) with D one common denominator and K an
-    integer.  cols[s], indexed by the n-bit integer of the string s (copy 0
-    most significant), lists s's nonzero (j, K) in ascending j.  A label
-    whose column spans two radicals raises InconsistencyError."""
-    rows = sorted(
-        (item for lam in list_partitions(n) for item in SchurBlock(lam, n).items()),
-        key=lambda item: item[0].q,
-    )
-    labels = [(label.lam, label.omega, label.q) for label, _ in rows]
-    roots = []
-    split: list[list] = [[] for _ in range(2**n)]
-    for j, (label, col) in enumerate(rows):
-        found = set()
-        for s, v in col.items():
-            d, num, den = v.radical_parts()
-            found.add(d)
-            split[int("".join(map(str, s)), 2)].append((j, num, den))
-        if len(found) != 1:
-            raise InconsistencyError(f"Schur label {label} spans radicals {sorted(found)}")
-        roots.append(found.pop())
-    D = math.lcm(*(den for col in split for _, _, den in col))
-    cols = [[(j, num * (D // den)) for j, num, den in col] for col in split]
-    return cols, roots, D, labels
-
-
 def multilocal_schur(state: DenseState) -> dict[PartitionTuple, SectorBlock]:
     n, N = state.copies, state.num_parties
-    cols, roots, D, labels = _party_columns(n)
+    cols, roots, D, labels = party_columns(n)
     mask = (1 << n) - 1
     parts = [(idx, a.radical_parts()) for idx, a in state.amplitudes.items() if not a.is_zero]
     A = math.lcm(*(den for _, (_, _, den) in parts))

@@ -6,6 +6,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from oracles import kron_coeff_young
 
 from wkron import kronstate
 from wkron.cli import main
@@ -70,6 +71,15 @@ def test_kron_n7_table(capsys, tmp_path):
     table = json.loads(out.read_text())
     assert table["kron_coeff"] == 2
     assert all(len(labels) == 14 for labels in table["labels"].values())
+
+
+def test_kron_coeff_field_matches_the_character_sum(capsys):
+    # a coefficient of 7, so a field that drifts from kron_coeff only for
+    # larger coefficients shows here
+    code, out, _ = run(["kron", "--lambda", "5,2;5,2;5,2;6,1"], capsys)
+    assert code == 0
+    lams = ptuple((5, 2), (5, 2), (5, 2), (6, 1))
+    assert json.loads(out)["kron_coeff"] == kron_coeff_young(lams) == 7
 
 
 def test_kron_n4_four_parties(capsys, tmp_path):
@@ -152,6 +162,23 @@ def test_prob_csv_cumulative_one(capsys):
     assert by_lam["(2,0;2,0;2,0)"] == Fraction(2, 3)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--parties", "3", "--copies", "12"],
+        ["--state", "1/10,1/5,3/10,2/5", "--copies", "8"],
+        ["--state", "ghz:1/3", "--copies", "6"],
+    ],
+)
+def test_prob_p_float_is_the_float_of_p(capsys, argv):
+    code, out, _ = run(["prob", *argv], capsys)
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) > 10
+    for r in rows:
+        assert float(r["p_float"]) == float(Fraction(r["p"])), r
+
+
 @pytest.mark.parametrize("alpha", ["1/3", "2/7"])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_prob_ghz_equals_dense_oracle(capsys, alpha, n):
@@ -214,6 +241,17 @@ def test_covariant_command(capsys):
     )
     assert code == 0
     assert out.strip() == "vanishes"
+
+
+@pytest.mark.parametrize("argv", [["--copies", "-1", "--nu", "1,1,1"],
+                                  ["--copies", "2", "--nu", "1,1,-1"]])
+def test_covariant_refuses_negative_sizes(capsys, argv):
+    # like every other command, covariant refuses n < 1, with exit 2 and a reason
+    code, out, err = run(["covariant", *argv], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("bad input: ")
+    code, out, _ = run(["covariant", "--copies", "3", "--nu", "1,1,1"], capsys)
+    assert (code, out) == (0, "sqrt(c1*c2*c3)*x0(1)*x0(2)*x0(3)\n")
 
 
 def test_verify_command(capsys):

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import multilocal_schur_reference, sector_cell
 
-from wkron import ghz, protocol
+from wkron import ghz, protocol, schur
 from wkron.cli import main as cli_main
 from wkron.exact import RadicalSum, SqrtRational
 from wkron.kronstate import khat, normalized
@@ -29,7 +29,7 @@ from wkron.protocol import (
     tensor_power,
     verify_report,
 )
-from wkron.schur import SchurBlock, SchurLabel, _b_table, b_coeff
+from wkron.schur import SchurLabel, b_coeff
 from wkron.wstates import WClassState, phi_hat, w_normal_form
 
 
@@ -278,46 +278,57 @@ def test_multilocal_schur_equals_reference_on_mixed_radicals(case):
 
 
 def test_party_columns_one_radical_per_label():
-    # every nonzero B(j, s) = K/D * sqrt(roots[j]), for every size the
-    # 18-qubit cap admits with two or more parties
+    # every B(j, s) = K/D * sqrt(roots[j]) with K a nonzero integer, and it
+    # equals the gamma product b_coeff for every label and every string of
+    # the label's weight, at every size the 18-qubit cap admits with two or
+    # more parties
     for n in range(1, 10):
-        cols, roots, D, labels = protocol._party_columns(n)
+        cols, roots, D, labels = schur.party_columns(n)
         assert len(labels) == len(roots) == len(cols) == 2**n
-        table = _b_table(n)
-        seen = 0
+        assert [(q, om) for _, om, q in labels] == sorted((q, om) for _, om, q in labels)
+        by_weight: dict = {}
+        for j, (lam, om, q) in enumerate(labels):
+            by_weight.setdefault(om, []).append((j, SchurLabel(lam, om, q)))
         for s, col in enumerate(cols):
             bits = tuple((s >> (n - 1 - k)) & 1 for k in range(n))
-            for j, K in col:
-                rational = SqrtRational.from_rational(Fraction(K, D))
-                assert K and table[labels[j]][bits] == rational * SqrtRational.sqrt(roots[j])
-                seen += 1
-        assert seen == sum(len(col) for col in table.values())
+            assert [j for j, _ in col] == sorted({j for j, _ in col})
+            assert all(K for _, K in col)
+            got = dict(col)
+            for j, label in by_weight[sum(bits)]:
+                # signed squares: K/D * sqrt(r) squares to K|K| r / D^2
+                K = got.pop(j, 0)
+                want = b_coeff(label, bits).signed_square()
+                assert want == Fraction(K * abs(K) * roots[j], D * D), (n, bits, labels[j])
+            assert not got  # no entry at a label of another weight
 
 
 def test_party_columns_rejects_a_label_spanning_two_radicals(monkeypatch, capsys):
-    class OneEntryTimesSqrt2(SchurBlock):
-        # from n = 2 on, the first entry of the block (n,0)'s first column of
-        # two or more entries is multiplied by sqrt(2)
-        def items(self):
-            out, done = [], self.lam.lambda2 > 0
-            for label, col in super().items():
-                if not done and len(col) > 1:
-                    s = next(iter(col))
-                    col, done = {**col, s: col[s] * SqrtRational.sqrt(2)}, True
-                out.append((label, col))
-            return out
+    real = schur._gamma_row
 
-    protocol._party_columns.cache_clear()
+    def one_factor_times_sqrt2(l1, l2, omega, qn):
+        # the factor of s_2 = 1 into the label ((2,0), 1, (0,0)) gains a
+        # sqrt(2), so that label's column reads 1 at s = 01 and sqrt(1/2) at
+        # s = 10, two radicals, which the labels grown from it at n = 3 keep
+        (a0, a1), b = real(l1, l2, omega, qn)
+        if (l1, l2, omega, qn) == (2, 0, 1, 0):
+            a1 *= 2
+        return (a0, a1), b
+
+    schur.party_columns.cache_clear()
     protocol._w_sectors.cache_clear()
-    monkeypatch.setattr(protocol, "SchurBlock", OneEntryTimesSqrt2)
+    monkeypatch.setattr(schur, "_gamma_row", one_factor_times_sqrt2)
     try:
         with pytest.raises(InconsistencyError, match="spans radicals"):
-            protocol._party_columns(3)
+            schur.party_columns(3)
         assert cli_main(["verify", "--nmax3", "3", "--nmax4", "0"]) == 1
         assert "internal inconsistency" in capsys.readouterr().err
     finally:
-        protocol._party_columns.cache_clear()
+        schur.party_columns.cache_clear()
         protocol._w_sectors.cache_clear()
+
+
+def test_party_columns_cache_is_bounded():
+    assert schur.party_columns.cache_info().maxsize is not None
 
 
 def test_raw_list_of_one_amplitude_is_rejected():
