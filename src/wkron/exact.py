@@ -11,9 +11,9 @@ common radical that the caller factors out first.  The one internal exception
 is :class:`RadicalSum`, a private accumulator over squarefree radicands used
 by the S_n representation matrices and reduced density matrices; it collapses
 back to a single SqrtRational (or raises) at module boundaries.  The
-brute-force oracle keeps integer numerators per radical class instead, from
-:meth:`SqrtRational.radical_parts` and, on integer B coefficients, from
-`schur.party_columns`: the two places that split off a squarefree radical.
+brute-force oracle keeps integer numerators per radical class instead, split
+off by :meth:`SqrtRational.radical_parts` on single-copy amplitudes only and
+by `schur.party_columns` on integer B coefficients, the two places that do.
 """
 
 from __future__ import annotations

@@ -3,23 +3,25 @@
 Builds the n-fold tensor power of a state explicitly, applies the multilocal
 Schur transform party by party, projects sectors, extracts the residual
 Schmidt structure, and samples measurement outcomes.  The oracle is exact.
-`SqrtRational.radical_parts` splits every amplitude into (num/den) * sqrt(d)
-with d squarefree.  One party's transform comes from `schur.party_columns`,
-which builds the B coefficients and checks that all nonzero ones of one
-Schur label j share one squarefree radical u_j; with the label radicals
-pulled out it is an integer matrix over a common denominator D.  This module
-keeps only the contraction, and it runs on plain ints: each term keeps its
-amplitude's class d beside its key, the terms of one key and class sum to c
-with no radical arithmetic, and c * sqrt(d) * prod_i sqrt(u_{j_i}) is split
-into a numerator and a class once per final cell.  Every cell shares one
-denominator, the lcm of the amplitude denominators times D^N.  Sector blocks
-keep that form, nonzero cells only, so norms and the rank-1 check run in
-integers and the recurrence is checked against them with zero tolerance.
-Sectors and their cells come in first-touch order: by the first amplitude
-(in dict order) that reaches them, then by label indices, the order in which
-a nested loop over amplitudes and then over each party's columns would first
-touch them.  Sampling from a raw amplitude list draws over that order.  The
-oracle is capped at EXACT_CAP qubits.
+The tensor power holds each amplitude as integers (d, num, den), the value
+num/den * sqrt(d) with d squarefree; only the single-copy amplitudes are
+split by `SqrtRational.radical_parts`, and a product takes its class from the
+copies' classes by one gcd.  One party's transform comes from
+`schur.party_columns`, which builds the B coefficients and checks that all
+nonzero ones of one Schur label j share one squarefree radical u_j; with the
+label radicals pulled out it is an integer matrix over a common denominator
+D.  This module keeps only the contraction, and it runs on plain ints: each
+term keeps its amplitude's class d beside its key, the terms of one key and
+class sum to c with no radical arithmetic, and c * sqrt(d) * prod_i
+sqrt(u_{j_i}) is split into a numerator and a class once per final cell.
+Every cell shares one denominator, the lcm of the amplitude denominators
+times D^N.  Sector blocks keep that form, nonzero cells only, so norms and
+the rank-1 check run in integers and the recurrence is checked against them
+with zero tolerance.  Sectors and their cells come in first-touch order: by
+the first amplitude (in dict order) that reaches them, then by label indices,
+the order in which a nested loop over amplitudes and then over each party's
+columns would first touch them.  Sampling from a raw amplitude list draws
+over that order.  The oracle is capped at EXACT_CAP qubits.
 
 Bit layout (part of the contract): amplitude index is an (N*n)-bit integer,
 party-major, with party i's copy-k qubit at bit position i*n + k counted from
@@ -117,55 +119,53 @@ def _num_parties(state) -> int:
 
 @dataclass
 class DenseState:
-    """Exact amplitudes of psi^(x)n over {0,1}^(N*n), stored as a sparse dict
-    {index: SqrtRational}."""
+    """Exact amplitudes of psi^(x)n over {0,1}^(N*n), stored sparse as
+    {index: (d, num, den)}, the nonzero value num/den * sqrt(d) as split by
+    `SqrtRational.radical_parts`: d squarefree, den the square's denominator."""
 
     num_parties: int
     copies: int
-    amplitudes: dict[int, SqrtRational]
-
-    def index_of(self, stuple: tuple[tuple[int, ...], ...]) -> int:
-        idx = 0
-        for s in stuple:
-            for b in s:
-                idx = (idx << 1) | b
-        return idx
-
-    def stuple_of(self, idx: int) -> tuple[tuple[int, ...], ...]:
-        n, N = self.copies, self.num_parties
-        bits = [(idx >> (N * n - 1 - p)) & 1 for p in range(N * n)]
-        return tuple(tuple(bits[i * n : (i + 1) * n]) for i in range(N))
+    amplitudes: dict[int, tuple[int, int, int]]
 
     def norm_sq(self) -> Fraction:
-        return sum((v.square() for v in self.amplitudes.values()), Fraction(0))
+        amps = self.amplitudes.values()
+        return sum((Fraction(d * num * num, den * den) for d, num, den in amps), Fraction(0))
 
 
 def tensor_power(state, n: int) -> DenseState:
     """Exact amplitudes of state^(x)n, at most EXACT_CAP qubits in total; a raw
     amplitude list (length 2^N, exact scalars) is accepted in place of a state
-    object."""
+    object.  Amplitudes come in nested-loop order over the copies, the first
+    outermost, each over the nonzero single-copy patterns in order."""
     single = _single_copy_amplitudes(state)
     N = _num_parties(state)
     if N * n > EXACT_CAP:
         raise SizeCapError(f"{N * n} qubits exceeds the {EXACT_CAP}-qubit dense cap")
-    out = DenseState(N, n, {})
-    out.amplitudes = {out.index_of(k): v for k, v in _tensor_exact(single, N, n).items()}
-    return out
-
-
-def _tensor_exact(single, num_parties: int, n: int):
-    """n-fold product of the single-copy amplitudes, keyed by per-party bit
-    tuples with copies appended left to right."""
-    amps: dict[tuple[tuple[int, ...], ...], SqrtRational] = {
-        ((),) * num_parties: SqrtRational.one()
-    }
-    for _ in range(n):
+    # per pattern: its bits one place above copy 0's (copy k's are these
+    # shifted right by k + 1), sign, radicand and class; a product's class is
+    # d1*d2/g^2 for g = gcd(d1, d2)
+    pats = [
+        (sum(b << (N - i) * n for i, b in enumerate(bits)), a.sign, a.radicand,
+         a.radical_parts()[0])
+        for bits, a in single.items()
+    ]
+    amps = {0: (1, Fraction(1), 1)}
+    for k in range(n):
         nxt = {}
-        for key, val in amps.items():
-            for pattern, a in single.items():
-                nxt[tuple(key[i] + (pattern[i],) for i in range(num_parties))] = val * a
+        for idx, (s0, r0, d0) in amps.items():
+            for off, s, r, d in pats:
+                g = math.gcd(d0, d)
+                nxt[idx | off >> (k + 1)] = (s0 * s, r0 * r, (d0 // g) * (d // g))
         amps = nxt
-    return amps
+    out = DenseState(N, n, {})
+    for idx, (s, r, d) in amps.items():
+        # sqrt(P/Q) = sqrt(P*Q)/Q = m/Q * sqrt(d)
+        pq = r.numerator * r.denominator
+        m = math.isqrt(pq // d)
+        if m * m * d != pq:
+            raise InconsistencyError(f"amplitude {idx}: radicand {r} is not in class {d}")
+        out.amplitudes[idx] = (d, s * m, r.denominator)
+    return out
 
 
 @dataclass
@@ -219,8 +219,7 @@ def multilocal_schur(state: DenseState) -> dict[PartitionTuple, SectorBlock]:
     n, N = state.copies, state.num_parties
     cols, roots, D, labels = party_columns(n)
     mask = (1 << n) - 1
-    parts = [(idx, a.radical_parts()) for idx, a in state.amplitudes.items() if not a.is_zero]
-    A = math.lcm(*(den for _, (_, _, den) in parts))
+    A = math.lcm(*(den for _, _, den in state.amplitudes.values()))
     # A term (m, s, c) of class d under a key is c * sqrt(d) *
     # prod sqrt(roots[j]) / (A * D**parties_done), with s the string of the
     # party contracted next.  The key holds the label indices j of the
@@ -232,7 +231,7 @@ def multilocal_schur(state: DenseState) -> dict[PartitionTuple, SectorBlock]:
     # and then over each party's columns touches the final keys in order of
     # m and then label indices, and the sectors and cells keep that order.
     groups: dict[tuple, dict[int, list]] = {}
-    for m, (idx, (d, num, den)) in enumerate(parts):
+    for m, (idx, (d, num, den)) in enumerate(state.amplitudes.items()):
         key = tuple([(idx >> (N - 1 - i) * n) & mask for i in range(1, N)])
         term = (m, idx >> (N - 1) * n, num * (A // den))
         groups.setdefault(key, {}).setdefault(d, []).append(term)

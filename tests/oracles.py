@@ -22,7 +22,7 @@ from wkron.partitions import (
     list_partitions,
     w_admissible,
 )
-from wkron.protocol import DenseState, SectorBlock
+from wkron.protocol import SectorBlock, _num_parties, _single_copy_amplitudes
 from wkron.schur import SchurBlock, SchurLabel, b_coeff, standard_paths
 from wkron.wstates import a_factor
 
@@ -284,19 +284,51 @@ def _party_columns_per_class(n: int):
     return cols, D, labels
 
 
-def multilocal_schur_reference(state: DenseState) -> dict[PartitionTuple, SectorBlock]:
-    """`protocol.multilocal_schur` with the radicals inside the contraction:
-    every value is a {radical class: numerator} dict and every (term, column)
-    pair multiplies radicals through a gcd.  Keys are touched in nested-loop
-    order (amplitudes in dict order, then columns in label order), which
-    fixes the order of the sectors and of their cells."""
-    n, N = state.copies, state.num_parties
+def stuple_of(idx: int, num_parties: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """Per-party bit tuples of a dense amplitude index (party-major layout)."""
+    bits = [(idx >> (num_parties * n - 1 - p)) & 1 for p in range(num_parties * n)]
+    return tuple(tuple(bits[i * n : (i + 1) * n]) for i in range(num_parties))
+
+
+def tensor_power_reference(state, n: int) -> dict[int, SqrtRational]:
+    """Amplitudes of state^(x)n as one SqrtRational product each, keyed by
+    per-party bit tuples grown copy by copy and packed into the party-major
+    index at the end; the order is the one `protocol.tensor_power` keeps."""
+    single = _single_copy_amplitudes(state)
+    N = _num_parties(state)
+    amps: dict[tuple[tuple[int, ...], ...], SqrtRational] = {((),) * N: SqrtRational.one()}
+    for _ in range(n):
+        amps = {
+            tuple(key[i] + (pattern[i],) for i in range(N)): val * a
+            for key, val in amps.items()
+            for pattern, a in single.items()
+        }
+    return {_index_of(key): v for key, v in amps.items()}
+
+
+def _index_of(stuple: tuple[tuple[int, ...], ...]) -> int:
+    idx = 0
+    for s in stuple:
+        for b in s:
+            idx = (idx << 1) | b
+    return idx
+
+
+def multilocal_schur_reference(state, n: int) -> dict[PartitionTuple, SectorBlock]:
+    """`protocol.multilocal_schur(protocol.tensor_power(state, n))` from the
+    SqrtRational tensor power, with the radicals inside the contraction:
+    every amplitude is split by `radical_parts`, every value is a {radical
+    class: numerator} dict and every (term, column) pair multiplies radicals
+    through a gcd.  Keys are touched in nested-loop order (amplitudes in dict
+    order, then columns in label order), which fixes the order of the sectors
+    and of their cells."""
+    N = _num_parties(state)
     cols, D, labels = _party_columns_per_class(n)
     # keys: per-party entries are raw bit tuples, replaced party by party with
     # label indices; a value {d: c} is sum(c * sqrt(d)) / (A * D**parties_done)
     parts = {
-        state.stuple_of(idx): a.radical_parts()
-        for idx, a in state.amplitudes.items()
+        stuple_of(idx, N, n): a.radical_parts()
+        for idx, a in tensor_power_reference(state, n).items()
         if not a.is_zero
     }
     A = math.lcm(*(den for _, _, den in parts.values()))

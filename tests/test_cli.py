@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -11,7 +12,7 @@ from oracles import kron_coeff_young
 from wkron import kronstate
 from wkron.cli import main
 from wkron.kronstate import from_table_json
-from wkron.partitions import ptuple
+from wkron.partitions import kron_coeff, ptuple
 
 
 def run(args, capsys):
@@ -222,6 +223,18 @@ def test_ghz_spectrum_rows(capsys):
     assert all(float(r["gamma"]) > 0 for r in rows)
 
 
+def test_ghz_spectrum_rows_at_90_copies_lie_between_15_and_the_rank(capsys):
+    # (60,30)^3 has Kronecker coefficient 16, so at most 16 nonzero Schmidt
+    # coefficients; the two smallest printed today are 4.2e-10 and 2.7e-11,
+    # so a threshold that drops either shows as fewer than 15 rows
+    code, out, _ = run(["ghz-spectrum", "--copies", "90", "--alpha", "1/3"], capsys)
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert {(r["n"], r["lambda"]) for r in rows} == {("90", "60,30")}
+    assert 15 <= len(rows) <= kron_coeff(ptuple((60, 30), (60, 30), (60, 30))) == 16
+    assert all(float(r["gamma"]) > 1e-12 for r in rows)
+
+
 def test_ghz_spectrum_rank1_single_row(capsys):
     code, out, _ = run(["ghz-spectrum", "--copies", "1", "--alpha", "1/3"], capsys)
     assert code == 0
@@ -283,6 +296,31 @@ def test_verify_two_class_cell_exits_1(capsys, monkeypatch):
             code, _, err = run(["verify", "--nmax3", "2", "--nmax4", "0"], capsys)
             assert code == 1, (lams, key, err)
             assert "internal inconsistency" in err
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        ("sample --parties 3 --copies 10 --seed 7 --runs 50",
+         "381e1435d91b0416ea23c1fcad055b2a363bffd3cbbbf4bd964cc373b837a1f0"),
+        ("sample --state 1/12,1/4,1/3,1/3 --copies 6 --seed 3 --runs 40",
+         "156cdbb5b0a07ad1eea59f006854c5ccca2f33603cb4840d34a7dc1a8780f9b6"),
+        ("prob --state 1/12,1/4,1/3,1/3 --copies 8",
+         "2bb408d303dac32a33eef8639030e3e61e01616ee421b1b8aef6f8920ca1601d"),
+        ("prob --state ghz:2/7 --copies 6",
+         "65daefcb56128ddaaedb2fb4b77d7ce58755b23266493c4c548b69773a4f1d8a"),
+        ("covariant --state 1/12,1/4,1/3,1/3 --copies 4 --nu 2,2,2",
+         "a4a414d94f7f21a099ac1f9f1987fe1a97b145295247530d8d367268c03e390e"),
+        ("verify --nmax3 3 --nmax4 2",
+         "6430150287a1036d006a4ea45c24cbed3e3de16c709d91a85c58420321ab25bb"),
+    ],
+)
+def test_stdout_matches_its_pinned_sha256(capsys, argv, digest):
+    # every field printed here is exact or drawn from a seeded Mersenne
+    # Twister, so the bytes are the same on every machine
+    code, out, _ = run(argv.split(), capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_bad_flag_exits_2(capsys):

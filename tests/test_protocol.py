@@ -1,12 +1,14 @@
+import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import multilocal_schur_reference, sector_cell
+from oracles import multilocal_schur_reference, sector_cell, stuple_of, tensor_power_reference
 
 from wkron import ghz, protocol, schur
 from wkron.cli import main as cli_main
@@ -38,26 +40,33 @@ def sq(x):
 
 
 def test_tensor_power_w_single_copy():
+    # sqrt(1/3) = 1/3 * sqrt(3): (class, numerator, denominator) = (3, 1, 3)
     w = w_normal_form(3)
     d = tensor_power(w, 1)
-    assert d.amplitudes == {0b100: sq("1/3"), 0b010: sq("1/3"), 0b001: sq("1/3")}
+    assert d.amplitudes == {0b100: (3, 1, 3), 0b010: (3, 1, 3), 0b001: (3, 1, 3)}
 
 
 def test_tensor_power_w_two_copies():
+    # sqrt(1/3)^2 = 1/3 = 3/9 * sqrt(1)
     w = w_normal_form(3)
     d = tensor_power(w, 2)
     assert len(d.amplitudes) == 9
-    assert all(v == sq("1/9") for v in d.amplitudes.values())
+    assert all(v == (1, 3, 9) for v in d.amplitudes.values())
     assert d.norm_sq() == 1
 
 
 def test_tensor_power_ghz():
     g = GHZState(Fraction(1, 3), 3)
     d = tensor_power(g, 2)
-    # patterns: (00,00,00),(01,01,01),(10,10,10),(11,11,11) in party-major bits
-    vals = sorted(v.square() for v in d.amplitudes.values())
-    assert len(d.amplitudes) == 4
-    assert vals == sorted([Fraction(4, 9), Fraction(2, 9), Fraction(2, 9), Fraction(1, 9)])
+    # patterns (00,00,00), (01,01,01), (10,10,10), (11,11,11) in party-major
+    # bits, with the values 2/3, sqrt(2/9), sqrt(2/9), 1/3 = 6/9, 3/9 sqrt(2),
+    # 3/9 sqrt(2), 3/9
+    assert list(d.amplitudes.items()) == [
+        (0b000000, (1, 6, 9)),
+        (0b010101, (2, 3, 9)),
+        (0b101010, (2, 3, 9)),
+        (0b111111, (1, 3, 9)),
+    ]
     assert d.norm_sq() == 1
 
 
@@ -69,6 +78,13 @@ def test_tensor_power_size_cap():
         tensor_power([0.5, SqrtRational.sqrt(Fraction(3, 4)), 0, 0], 1)
 
 
+def test_tensor_power_rejects_a_wrong_single_copy_class(monkeypatch):
+    # sqrt(1/3)^3 = sqrt(1/27) is not a rational times sqrt(1): m^2 * d != P * Q
+    monkeypatch.setattr(SqrtRational, "radical_parts", lambda self: (1, 1, 1))
+    with pytest.raises(InconsistencyError, match="not in class 1"):
+        tensor_power(w_normal_form(3), 3)
+
+
 def test_one_party_raw_list_is_refused_before_any_work():
     # one party would let the qubit cap admit 18 copies of one party's Schur table
     with pytest.raises(ValueError, match="at least two parties"):
@@ -78,13 +94,20 @@ def test_one_party_raw_list_is_refused_before_any_work():
 
 
 def test_bit_layout_party_major():
-    w = w_normal_form(2)
-    d = tensor_power(w, 2)
-    # |psi> = (|10>+|01>)/sqrt2 per copy; party-major: party0 bits then party1
-    # copy pattern (10),(01) -> party0 = "10", party1 = "01" -> index 0b1001
-    assert 0b1001 in d.amplitudes
-    assert d.stuple_of(0b1001) == ((1, 0), (0, 1))
-    assert d.index_of(((1, 0), (0, 1))) == 0b1001
+    # party i's copy-k qubit sits at bit i*n + k from the most significant of
+    # the N*n bits, that is at shift (N - i)*n - 1 - k; amplitudes come copy
+    # by copy, each over the single-copy patterns in order
+    N, n = 3, 2
+    d = tensor_power(WClassState((Fraction(1, 4), Fraction(1, 4), Fraction(1, 2), 0)), n)
+    patterns = [(0, 0, 0), (1, 0, 0), (0, 1, 0)]
+    want = [
+        sum(b << ((N - i) * n - 1 - k) for k, bits in enumerate(copies) for i, b in enumerate(bits))
+        for copies in itertools.product(patterns, repeat=n)
+    ]
+    assert list(d.amplitudes) == want
+    # copies (100), (010): party 0 reads "10", party 1 "01", party 2 "00"
+    assert want[5] == 0b100100
+    assert stuple_of(0b100100, N, n) == ((1, 0), (0, 1), (0, 0))
 
 
 def test_multilocal_schur_w_sectors():
@@ -185,14 +208,14 @@ def test_multilocal_schur_equals_b_sum(case):
     # every sector entry is sum_s amp(s) * prod_i B(label_i, s_i), and the
     # sectors carry the whole norm (sum |a|^2)^n of the unnormalized input
     raw, n = case
-    dense = tensor_power(raw, n)
-    sectors = multilocal_schur(dense)
+    N = len(raw).bit_length() - 1
+    sectors = multilocal_schur(tensor_power(raw, n))
     by_weights: dict = {}
-    for idx, a in dense.amplitudes.items():
-        s = dense.stuple_of(idx)
+    for idx, a in tensor_power_reference(raw, n).items():
+        s = stuple_of(idx, N, n)
         by_weights.setdefault(tuple(map(sum, s)), []).append((s, a))
     total = RadicalSum.zero()
-    for lams in all_partition_tuples(dense.num_parties, n):
+    for lams in all_partition_tuples(N, n):
         block = sectors.get(lams)
         weights, qlabels = sector_grid(lams)
         for om in weights:
@@ -250,8 +273,21 @@ _REFERENCE_CASES = [
 
 @pytest.mark.parametrize("state, n", _REFERENCE_CASES)
 def test_multilocal_schur_equals_nested_loop_reference(state, n):
-    dense = tensor_power(state, n)
-    _assert_same_blocks(multilocal_schur(dense), multilocal_schur_reference(dense))
+    got = multilocal_schur(tensor_power(state, n))
+    _assert_same_blocks(got, multilocal_schur_reference(state, n))
+
+
+def _assert_parts_of_reference(state, n):
+    """tensor_power's (d, num, den) triples are radical_parts of the
+    SqrtRational products, index order included."""
+    got = tensor_power(state, n).amplitudes
+    want = {idx: a.radical_parts() for idx, a in tensor_power_reference(state, n).items()}
+    assert list(got.items()) == list(want.items())
+
+
+@pytest.mark.parametrize("state, n", _REFERENCE_CASES)
+def test_tensor_power_equals_radical_parts_of_reference(state, n):
+    _assert_parts_of_reference(state, n)
 
 
 def _signed_sqrt(k: int, m: int, negative: bool) -> SqrtRational:
@@ -273,8 +309,28 @@ def _mixed_radical_case(draw):
 @given(_mixed_radical_case())
 def test_multilocal_schur_equals_reference_on_mixed_radicals(case):
     raw, n = case
-    dense = tensor_power(raw, n)
-    _assert_same_blocks(multilocal_schur(dense), multilocal_schur_reference(dense))
+    got = multilocal_schur(tensor_power(raw, n))
+    _assert_same_blocks(got, multilocal_schur_reference(raw, n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(_raw_case(), _mixed_radical_case()))
+def test_tensor_power_equals_radical_parts_of_reference_on_raw_lists(case):
+    _assert_parts_of_reference(*case)
+
+
+def test_raw_list_with_a_semiprime_denominator_splits_one_copy_only():
+    # trial division runs until its divisor squared passes what is left of
+    # the radicand; p - 1 = 2 * 50080031 with 50080031 prime, so on a k-copy
+    # radicand, which holds 50080031^j for j up to k, it runs up to 50080031
+    # for j >= 2 (about 10 s at n = 4), and on one copy it stops near 10009
+    p = 10007 * 10009
+    raw = [0, SqrtRational.sqrt(Fraction(p - 1, p)), SqrtRational.sqrt(Fraction(1, p)), 0]
+    start = time.perf_counter()
+    dense = sector_distribution(raw, 4)
+    assert time.perf_counter() - start < 1
+    closed = sector_distribution(WClassState((0, Fraction(1, p), Fraction(p - 1, p))), 4)
+    assert dict(dense) == dict(closed)
 
 
 def test_party_columns_one_radical_per_label():
