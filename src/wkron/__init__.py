@@ -17,7 +17,7 @@ from .partitions import (
     ptuple,
     w_admissible,
 )
-from .probw import p_psi, p_w, z_count, z_count_ct
+from .probw import p_psi, p_w
 from .protocol import (
     GHZState,
     marginal_entropy,
@@ -28,7 +28,7 @@ from .protocol import (
     tensor_power,
     verify_report,
 )
-from .schur import SchurBlock, b_coeff, gamma, rep_matrix, standard_paths
+from .schur import SchurBlock, b_coeff, gamma, standard_paths
 from .wstates import WClassState, a_factor, phi_hat, w_normal_form, z_norm
 
 __all__ = [
@@ -47,7 +47,6 @@ __all__ = [
     "standard_paths",
     "b_coeff",
     "SchurBlock",
-    "rep_matrix",
     "WClassState",
     "w_normal_form",
     "a_factor",
@@ -68,8 +67,6 @@ __all__ = [
     "overlap",
     "gram",
     "schmidt_spectrum",
-    "z_count",
-    "z_count_ct",
     "p_w",
     "p_psi",
     "GHZState",

@@ -15,7 +15,7 @@ import json
 import math
 import sys
 from fractions import Fraction
-from itertools import islice
+from itertools import accumulate, islice
 
 from . import covariants, ghz, kronstate, probw, protocol
 from .exact import InconsistencyError, SqrtRational
@@ -29,6 +29,14 @@ def _write(text: str, out: str | None):
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _write_csv(header: list[str], rows, out: str | None):
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    _write(buf.getvalue(), out)
 
 
 def _write_json(obj, out: str | None, indent: int | None = None):
@@ -102,27 +110,20 @@ def cmd_prob(args) -> int:
     row."""
     state = _parse_state(args.state, args.parties)
     rows = sorted(protocol.sector_distribution(state, args.copies), key=lambda t: str(t[0]))
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["lambda", "p", "p_float", "cumulative", "source"])
-    acc = Fraction(0)
-    for lams, p in rows:
-        acc += p
-        writer.writerow([str(lams), str(p), float(p), str(acc), "closed-form"])
-    _write(buf.getvalue(), args.out)
+    cumulative = accumulate(p for _, p in rows)
+    _write_csv(
+        ["lambda", "p", "p_float", "cumulative", "source"],
+        ([str(lams), str(p), float(p), str(acc), "closed-form"]
+         for (lams, p), acc in zip(rows, cumulative)),
+        args.out,
+    )
     return 0
 
 
 def cmd_ghz_spectrum(args) -> int:
     alpha = Fraction(args.alpha)
     ns = [int(tok) for tok in args.copies_list.split(",")]
-    rows = ghz.spectrum_rows(ns, alpha)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["n", "lambda", "rank_index", "gamma"])
-    for row in rows:
-        writer.writerow(row)
-    _write(buf.getvalue(), args.out)
+    _write_csv(["n", "lambda", "rank_index", "gamma"], ghz.spectrum_rows(ns, alpha), args.out)
     return 0
 
 
@@ -140,12 +141,7 @@ def cmd_covariant(args) -> int:
 def cmd_sample(args) -> int:
     state = _parse_state(args.state, args.parties)
     outs = protocol.sample_outcomes(state, args.copies, args.seed, args.runs)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["run", "lambda"])
-    for i, lams in enumerate(outs):
-        writer.writerow([i, str(lams)])
-    _write(buf.getvalue(), args.out)
+    _write_csv(["run", "lambda"], ([i, str(lams)] for i, lams in enumerate(outs)), args.out)
     return 0
 
 

@@ -7,13 +7,17 @@ polynomial in the family generated from a W-class base form is parity graded:
 the marker content of a coefficient is determined by its monomial, so each
 coefficient is a single rational multiple of one marker monomial.  Sums that
 would mix marker monomials on one x-monomial cannot occur and raise.
+
+`theorem2_form` is the closed form `wkron covariant` prints.  The Omega
+process `transvectant` and `verify_proportional` check it, and demo 04 calls
+both.  The projective-coordinate transvectant, a second route to the Omega
+process, is a test oracle and lives with the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial
 
 Monomial = tuple[int, ...]  # (x0^(1), x1^(1), ..., x0^(N), x1^(N)) exponents
 Coeff = tuple[Fraction, tuple[int, ...]]  # rational * prod_i sqrt(c_i)^parity_i
@@ -71,19 +75,25 @@ class MultiPoly:
         if self.num_parties != other.num_parties or self.c != other.c:
             raise ValueError("polynomials belong to different states")
 
-    def _add_term(self, m: Monomial, coeff: Coeff):
-        cur = self.terms.get(m)
+    @staticmethod
+    def _add_term(terms: dict, key, coeff: Coeff):
+        """terms[key] += coeff, the one accumulation rule of every product,
+        sum and Omega step: one marker class per key (else ValueError), and
+        a coefficient that sums to zero drops out.  A static method rather
+        than a module-level function, so a per-term call stays a plain call
+        when the module's functions are wrapped."""
+        cur = terms.get(key)
         if cur is None:
             if coeff[0]:
-                self.terms[m] = coeff
+                terms[key] = coeff
             return
         if cur[1] != coeff[1]:
-            raise ValueError(f"marker classes collide on {m}: {cur[1]} vs {coeff[1]}")
+            raise ValueError(f"marker classes collide on {key}: {cur[1]} vs {coeff[1]}")
         f = cur[0] + coeff[0]
         if f:
-            self.terms[m] = (f, cur[1])
+            terms[key] = (f, cur[1])
         else:
-            del self.terms[m]
+            del terms[key]
 
     # -- ring operations -----------------------------------------------------
 
@@ -93,7 +103,7 @@ class MultiPoly:
             raise ValueError("cannot add polynomials of different state degree")
         out = MultiPoly(self.num_parties, self.c, self.psi_degree, dict(self.terms))
         for m, coeff in other.terms.items():
-            out._add_term(m, coeff)
+            MultiPoly._add_term(out.terms, m, coeff)
         return out
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
@@ -104,7 +114,7 @@ class MultiPoly:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = tuple(a + b for a, b in zip(m1, m2))
-                out._add_term(m, _cmul(self.c, c1, c2))
+                MultiPoly._add_term(out.terms, m, _cmul(self.c, c1, c2))
         return out
 
     def scale(self, q) -> "MultiPoly":
@@ -171,7 +181,7 @@ def transvectant(f: MultiPoly, g: MultiPoly, orders) -> MultiPoly:
     N = f.num_parties
     if len(orders) != N:
         raise ValueError("one transvection order per party required")
-    c = f.c
+    c, add = f.c, MultiPoly._add_term
     # doubled-variable polynomial {(mF, mG): coeff}
     pairs: dict[tuple[Monomial, Monomial], Coeff] = {}
     for m1, c1 in f.terms.items():
@@ -181,38 +191,23 @@ def transvectant(f: MultiPoly, g: MultiPoly, orders) -> MultiPoly:
         i0, i1 = 2 * i, 2 * i + 1
         for _ in range(li):
             nxt: dict[tuple[Monomial, Monomial], Coeff] = {}
-
-            def add(key, coeff):
-                cur = nxt.get(key)
-                if cur is None:
-                    if coeff[0]:
-                        nxt[key] = coeff
-                    return
-                if cur[1] != coeff[1]:
-                    raise ValueError("marker classes collide in Omega step")
-                s = cur[0] + coeff[0]
-                if s:
-                    nxt[key] = (s, cur[1])
-                else:
-                    del nxt[key]
-
             for (m1, m2), coeff in pairs.items():
                 # d/dx0 d/dx1' term
                 if m1[i0] and m2[i1]:
                     k1, k2 = list(m1), list(m2)
                     k1[i0] -= 1
                     k2[i1] -= 1
-                    add((tuple(k1), tuple(k2)), (coeff[0] * m1[i0] * m2[i1], coeff[1]))
+                    add(nxt, (tuple(k1), tuple(k2)), (coeff[0] * m1[i0] * m2[i1], coeff[1]))
                 # - d/dx1 d/dx0' term
                 if m1[i1] and m2[i0]:
                     k1, k2 = list(m1), list(m2)
                     k1[i1] -= 1
                     k2[i0] -= 1
-                    add((tuple(k1), tuple(k2)), (-coeff[0] * m1[i1] * m2[i0], coeff[1]))
+                    add(nxt, (tuple(k1), tuple(k2)), (-coeff[0] * m1[i1] * m2[i0], coeff[1]))
             pairs = nxt
     out = MultiPoly(N, c, f.psi_degree + g.psi_degree, {})
     for (m1, m2), coeff in pairs.items():
-        out._add_term(tuple(a + b for a, b in zip(m1, m2)), coeff)
+        add(out.terms, tuple(a + b for a, b in zip(m1, m2)), coeff)
     return out
 
 
@@ -272,56 +267,6 @@ def verify_proportional(f: MultiPoly, g: MultiPoly) -> Fraction | None:
         if lhs != rhs:
             return None
     return _csquare(f.c, f0) / _csquare(f.c, g0)
-
-
-def projective_transvectant(f: MultiPoly, g: MultiPoly, party: int, order: int) -> MultiPoly:
-    """Single-party transvectant through the projective-coordinate formula,
-    as an independent cross-check of the Omega route."""
-    f._compatible(g)
-    fd, gd = f.multidegree(), g.multidegree()
-    N = f.num_parties
-    out = MultiPoly(N, f.c, f.psi_degree + g.psi_degree, {})
-    if fd is None or gd is None:
-        return out
-    fi, gi = fd[party], gd[party]
-    if not (0 <= order <= min(fi, gi)):
-        return out
-
-    def deriv_p(p: MultiPoly, times: int) -> MultiPoly:
-        # d/dp on the dehomogenized poly: x1 exponent down, x0 exponent up
-        cur = p
-        for _ in range(times):
-            nxt = MultiPoly(N, p.c, p.psi_degree, {})
-            for m, coeff in cur.terms.items():
-                b = m[2 * party + 1]
-                if b:
-                    k = list(m)
-                    k[2 * party + 1] -= 1
-                    k[2 * party] += 1
-                    nxt._add_term(tuple(k), (coeff[0] * b, coeff[1]))
-            cur = nxt
-        return cur
-
-    for k in range(order + 1):
-        coef = (
-            factorial(order)
-            * (-1) ** k
-            * comb(fi - order + k, k)
-            * comb(gi - k, order - k)
-        )
-        if coef == 0:
-            continue
-        part = deriv_p(f, order - k) * deriv_p(g, k)
-        out = out + part.scale(coef)
-    # re-homogenize from degree fi+gi down to fi+gi-2l in party's x0
-    fixed = MultiPoly(N, f.c, out.psi_degree, {})
-    for m, coeff in out.terms.items():
-        k = list(m)
-        k[2 * party] -= 2 * order
-        if k[2 * party] < 0:
-            raise ValueError("projective transvectant is not polynomial here")
-        fixed._add_term(tuple(k), coeff)
-    return fixed
 
 
 def format_poly(p: MultiPoly) -> str:

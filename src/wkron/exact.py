@@ -8,12 +8,13 @@ under multiplication and division, which is all the recurrences downstream
 need.  Sums of SqrtRationals are deliberately *not* part of the public ring:
 every exact summation in the package is either provably rational or shares a
 common radical that the caller factors out first.  The one internal exception
-is :class:`RadicalSum`, a private accumulator over squarefree radicands used
-by the S_n representation matrices and reduced density matrices; it collapses
-back to a single SqrtRational (or raises) at module boundaries.  The
-brute-force oracle keeps integer numerators per radical class instead, split
-off by :meth:`SqrtRational.radical_parts` on single-copy amplitudes only and
-by `schur.party_columns` on integer B coefficients, the two places that do.
+is :class:`RadicalSum`, a private accumulator over squarefree radicands; the
+package reads it only in `kronstate.reduced_density`, whose entries must come
+out rational.  The brute-force oracle keeps integer numerators per radical
+class instead, split off by :meth:`SqrtRational.radical_parts` on single-copy
+amplitudes only and by `schur.party_columns` on integer B coefficients, the
+two places that do.  `sym_eig` and the float matrices it reads stay until the
+GHZ spectra are exact.
 """
 
 from __future__ import annotations
@@ -177,11 +178,10 @@ def _squarefree(n: int) -> tuple[int, int]:
 
 class RadicalSum:
     """Internal exact accumulator: a Q-linear combination of sqrt(d) terms
-    with d squarefree.  Supports +, -, * and collapses to a SqrtRational.
+    with d squarefree.  Supports +, - and *.
 
-    Not part of the public scalar ring; used where the S_n representation
-    matrices, the reduced density of a Kronecker vector and the tests must
-    add cross-radical products exactly.
+    Not part of the public scalar ring; used where the reduced density of a
+    Kronecker vector and the tests must add cross-radical products exactly.
     """
 
     __slots__ = ("terms",)
@@ -249,15 +249,6 @@ class RadicalSum:
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
-
-    def collapse(self) -> SqrtRational:
-        """Exact conversion to a single SqrtRational; raises if >= 2 radical classes."""
-        if not self.terms:
-            return SqrtRational.zero()
-        if len(self.terms) > 1:
-            raise ValueError(f"not a single radical class: {self.terms}")
-        (d, c), = self.terms.items()
-        return SqrtRational(_sign(c), c * c * d)
 
     def as_rational(self) -> Fraction | None:
         if not self.terms:

@@ -9,6 +9,13 @@ hypergeometric sum times a radical that depends on the weights only.  Each
 (lambda, omega_lt, omega_gt), so an overlap sums integers over theta and
 builds a single Fraction at the end; the Gram matrix computes each
 symmetric pair once.  Floats enter only at the eigendecomposition.
+
+`JointWeight`, `louck_diag` and `hahn_eberlein` stay public because the
+joint-weight counting route in `probw` reads them; `louck` is their
+off-diagonal form.  The joint-weight
+enumeration and multinomial that sum Louck values over every theta are test
+oracles and live with the tests.  `GramMatrix.float_matrix` and the float
+spectrum stay until the residual spectra are exact.
 """
 
 from __future__ import annotations
@@ -48,22 +55,6 @@ class JointWeight(NamedTuple):
 
     def transpose(self) -> "JointWeight":
         return JointWeight(self.t00, self.t10, self.t01, self.t11)
-
-
-def joint_weights(n: int, omega: int, omega_p: int):
-    """All joint weights compatible with sequence weights (omega, omega_p)."""
-    for t11 in range(max(0, omega + omega_p - n), min(omega, omega_p) + 1):
-        yield JointWeight(n - omega - omega_p + t11, omega_p - t11, omega - t11, t11)
-
-
-def multinomial_theta(theta: JointWeight) -> int:
-    """Number of sequence pairs with the given joint weight."""
-    return math.factorial(theta.n) // (
-        math.factorial(theta.t00)
-        * math.factorial(theta.t01)
-        * math.factorial(theta.t10)
-        * math.factorial(theta.t11)
-    )
 
 
 def hahn_eberlein(lam: TwoRowPartition, omega_lt: int, omega_gt: int, x: int) -> Fraction:
@@ -220,15 +211,6 @@ class GramMatrix:
 
     def float_matrix(self) -> np.ndarray:
         return np.array([[float(x) for x in row] for row in self.exact])
-
-    def trace(self) -> Fraction:
-        total = Fraction(0)
-        for i in range(len(self.weights)):
-            v = self.exact[i][i].as_rational()
-            if v is None:
-                raise AssertionError("diagonal Gram entry is not rational")
-            total += v
-        return total
 
 
 def gram(lams: PartitionTuple, alpha, n: int) -> GramMatrix:

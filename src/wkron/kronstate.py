@@ -63,10 +63,6 @@ class KroneckerVector:
         counts = Counter(map(id, vals))
         return sum((v.square() * counts[i] for i, v in distinct.items()), Fraction(0))
 
-    def squared_magnitudes(self) -> list[Fraction]:
-        """Multiset (sorted list) of squared coefficient values."""
-        return sorted(v.square() for v in self.coeffs.values())
-
 
 def _sector_coeffs(lams: PartitionTuple) -> dict[QTuple, SqrtRational]:
     """Coefficients of an admissible sector, built from its admissible

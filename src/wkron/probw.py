@@ -6,8 +6,12 @@ probability is p(psi, lams) = Z(psi, lams) * eta^2(lams): the fiducial norm
 That is the only route `p_w`, `p_psi` and `sector_probabilities` take.
 
 The joint-weight counting route (`p_w_counting` over `_z_count_cached`,
-with the constant-term identity `z_count_ct` as its own cross-check) has no
-production caller; it stays here as a test oracle for `p_w`.
+with the constant-term identity `z_count_ct` as its own cross-check) is a
+second route to `p_w`, and no production route calls it.  It stays in the
+package, with the `ghz` names it reads (`JointWeight`, `louck_diag`), for
+two readers outside the tests: the benchmark reports its `probw.z_*`
+metrics from the `_z_count_cached` cache, and demo 02 calls `p_w_counting`.
+`z_count` and `z_count_ct` are not exported at the top level.
 """
 
 from __future__ import annotations

@@ -21,7 +21,9 @@ with zero tolerance.  Sectors and their cells come in first-touch order: by
 the first amplitude (in dict order) that reaches them, then by label indices,
 the order in which a nested loop over amplitudes and then over each party's
 columns would first touch them.  Sampling from a raw amplitude list draws
-over that order.  The oracle is capped at EXACT_CAP qubits.
+over that order.  The oracle is capped at EXACT_CAP qubits.  `sample_run`,
+`residual_schmidt` and `SectorBlock.float_matrix` read floats from the exact
+blocks; they stay until the residual spectra are exact.
 
 Bit layout (part of the contract): amplitude index is an (N*n)-bit integer,
 party-major, with party i's copy-k qubit at bit position i*n + k counted from
@@ -142,29 +144,31 @@ def tensor_power(state, n: int) -> DenseState:
     if N * n > EXACT_CAP:
         raise SizeCapError(f"{N * n} qubits exceeds the {EXACT_CAP}-qubit dense cap")
     # per pattern: its bits one place above copy 0's (copy k's are these
-    # shifted right by k + 1), sign, radicand and class; a product's class is
-    # d1*d2/g^2 for g = gcd(d1, d2)
+    # shifted right by k + 1), sign, radicand P/Q as two integers and class;
+    # a product's class is d1*d2/g^2 for g = gcd(d1, d2)
     pats = [
-        (sum(b << (N - i) * n for i, b in enumerate(bits)), a.sign, a.radicand,
-         a.radical_parts()[0])
+        (sum(b << (N - i) * n for i, b in enumerate(bits)), a.sign,
+         a.radicand.numerator, a.radicand.denominator, a.radical_parts()[0])
         for bits, a in single.items()
     ]
-    amps = {0: (1, Fraction(1), 1)}
+    amps = {0: (1, 1, 1, 1)}
     for k in range(n):
         nxt = {}
-        for idx, (s0, r0, d0) in amps.items():
-            for off, s, r, d in pats:
+        for idx, (s0, p0, q0, d0) in amps.items():
+            for off, s, p, q, d in pats:
                 g = math.gcd(d0, d)
-                nxt[idx | off >> (k + 1)] = (s0 * s, r0 * r, (d0 // g) * (d // g))
+                nxt[idx | off >> (k + 1)] = (s0 * s, p0 * p, q0 * q, (d0 // g) * (d // g))
         amps = nxt
     out = DenseState(N, n, {})
-    for idx, (s, r, d) in amps.items():
-        # sqrt(P/Q) = sqrt(P*Q)/Q = m/Q * sqrt(d)
-        pq = r.numerator * r.denominator
-        m = math.isqrt(pq // d)
-        if m * m * d != pq:
-            raise InconsistencyError(f"amplitude {idx}: radicand {r} is not in class {d}")
-        out.amplitudes[idx] = (d, s * m, r.denominator)
+    for idx, (s, p, q, d) in amps.items():
+        # P/Q in lowest terms, then sqrt(P/Q) = sqrt(P*Q)/Q = m/Q * sqrt(d)
+        g = math.gcd(p, q)
+        p, q = p // g, q // g
+        m = math.isqrt(p * q // d)
+        if m * m * d != p * q:
+            raise InconsistencyError(
+                f"amplitude {idx}: radicand {Fraction(p, q)} is not in class {d}")
+        out.amplitudes[idx] = (d, s * m, q)
     return out
 
 

@@ -8,6 +8,12 @@ coefficients B between the computational and Schur-Weyl bases satisfy a
 one-step recurrence through the 2x2 Clebsch-Gordan matrix `gamma`; the sign
 convention of that matrix is fixed once and for all here and nothing
 downstream is allowed to re-phase.
+
+`party_columns` is the one stored form of B, read by the dense oracle.
+`gamma`, `standard_paths`, `b_coeff`, `SchurLabel` and `SchurBlock` are the
+documented Schur-transform API.  The S_n representation matrices, the
+permutation helpers and the path validators that check the transform are
+test oracles and live with the tests.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import InconsistencyError, RadicalSum, SqrtRational, _squarefree
+from .exact import InconsistencyError, SqrtRational, _squarefree
 from .partitions import TwoRowPartition, list_partitions
 
 PathSeq = tuple[int, ...]
@@ -38,18 +44,6 @@ class SchurLabel:
     def __post_init__(self):
         if not (self.lam.lambda1 >= self.omega >= self.lam.lambda2):
             raise ValueError(f"weight {self.omega} outside [{self.lam.lambda2},{self.lam.lambda1}]")
-
-    def to_json(self) -> dict:
-        return {
-            "lambda": [self.lam.lambda1, self.lam.lambda2],
-            "omega": self.omega,
-            "q": "".join(map(str, self.q)),
-        }
-
-    @staticmethod
-    def from_json(d: dict) -> "SchurLabel":
-        lam = TwoRowPartition(*d["lambda"])
-        return SchurLabel(lam, int(d["omega"]), tuple(int(b) for b in d["q"]))
 
 
 def _gamma_row(l1: int, l2: int, omega: int, qn: int) -> tuple[tuple[int, int], int]:
@@ -95,21 +89,6 @@ def standard_paths(lam: TwoRowPartition) -> list[PathSeq]:
                 grown.append((prefix + (1,), r1, r2 + 1))
         level = grown
     return [prefix for prefix, _, _ in level]
-
-
-def path_is_valid(q: PathSeq) -> bool:
-    if not q or q[0] != 0:
-        return False
-    r1 = r2 = 0
-    for b in q:
-        r1, r2 = r1 + (1 - b), r2 + b
-        if r2 > r1:
-            return False
-    return True
-
-
-def path_terminal(q: PathSeq) -> TwoRowPartition:
-    return TwoRowPartition(sum(1 - b for b in q), sum(q))
 
 
 # verify builds n <= 6 at N = 3 and again at N = 4; eight sizes keep them all
@@ -207,83 +186,5 @@ class SchurBlock:
                     mine[j][bits] = _signed_root(K * abs(K) * roots[j], D * D)
         self._cols: list[dict[BitString, SqrtRational]] = list(col_of.values())
 
-    def row_vector(self, label: SchurLabel) -> dict[BitString, SqrtRational]:
-        return self._cols[self.rows.index(label)]
-
     def items(self):
         return zip(self.rows, self._cols)
-
-
-# -- permutations ------------------------------------------------------------
-#
-# A permutation is a tuple p of length n mapping position k to p[k] (0-based).
-
-
-def apply_perm(p: tuple[int, ...], s: BitString) -> BitString:
-    out = [0] * len(s)
-    for k, b in enumerate(s):
-        out[p[k]] = b
-    return tuple(out)
-
-
-def compose(p1: tuple[int, ...], p2: tuple[int, ...]) -> tuple[int, ...]:
-    """Composition acting as p1 after p2."""
-    return tuple(p1[p2[k]] for k in range(len(p1)))
-
-
-def perm_from_cycle_type(c, n: int | None = None) -> tuple[int, ...]:
-    """Canonical permutation with the given cycle type on 0..n-1."""
-    parts = sorted(c, reverse=True)
-    n = n or sum(parts)
-    if sum(parts) != n:
-        raise ValueError("cycle type does not sum to n")
-    p = list(range(n))
-    a = 0
-    for length in parts:
-        for i in range(length):
-            p[a + i] = a + (i + 1) % length
-        a += length
-    return tuple(p)
-
-
-def perm_cycle_type(p: tuple[int, ...]) -> tuple[int, ...]:
-    seen = [False] * len(p)
-    out = []
-    for k in range(len(p)):
-        if seen[k]:
-            continue
-        length, j = 0, k
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            length += 1
-        out.append(length)
-    return tuple(sorted(out, reverse=True))
-
-
-REP_SIZE_CAP = 8
-
-
-def rep_matrix(lam: TwoRowPartition, perm: tuple[int, ...]) -> list[list[RadicalSum]]:
-    """Orthogonal S_n representation matrix over paths q, with exact entries.
-
-    Satisfies B[lam,om,q][perm.s] = sum_q' S[q][q'] B[lam,om,q'][s].
-    """
-    n = lam.size
-    if n > REP_SIZE_CAP:
-        raise ValueError(f"n={n} exceeds the n<={REP_SIZE_CAP} representation cap")
-    if len(perm) != n:
-        raise ValueError("permutation length mismatch")
-    # the rows of the smallest weight, lambda2, in path order
-    cols = [col for label, col in SchurBlock(lam, n).items() if label.omega == lam.lambda2]
-    d = len(cols)
-    out = [[RadicalSum.zero() for _ in range(d)] for _ in range(d)]
-    for j in range(d):
-        for s, v in cols[j].items():
-            ps = apply_perm(perm, s)
-            for i in range(d):
-                w = cols[i].get(ps)
-                if w is not None:
-                    out[i][j] = out[i][j] + RadicalSum.from_sqrt(w * v)
-    return out
-

@@ -144,10 +144,11 @@ def z_norms(state: WClassState, sectors) -> list[Fraction]:
     at degree n: O(N n^2) per sector.  With ci = ai/D, A(lam, w) * nu! =
     (nu - j)! * nu!/j! (nu = lambda1 - lambda2, j = w - lambda2) and
     c0^k/k!^2 * n!^2 = a0^k * (n!/k!)^2 times D^-k, every coefficient is an
-    integer; the common denominator D^n * n!^2 * prod_i nu_i! is divided out
-    once per sector.  Each party polynomial, and each product over all
-    parties but the last, is built once per call.  Inadmissible sectors
-    read 0, as phi_hat is empty there.
+    integer.  The c0 series is divided by its gcd g first, so the common
+    denominator D^n * n!^2 / g * prod_i nu_i! is divided out once per
+    sector.  Each party polynomial, and each product over all parties but
+    the last, is built once per call.  Inadmissible sectors read 0, as
+    phi_hat is empty there.
     """
     sectors = list(sectors)
     if not sectors:
@@ -160,10 +161,12 @@ def z_norms(state: WClassState, sectors) -> list[Fraction]:
     den_c = math.lcm(*(x.denominator for x in state.c))
     a = [x.numerator * (den_c // x.denominator) for x in state.c]
     fn = math.factorial(n)
+    # g divides the k = 0 term n!^2, and is all of it when c0 = 0; every head
+    # is an integer combination of the series, so each sheds g exactly
+    c0 = [a[0] ** k * (fn // math.factorial(k)) ** 2 for k in range(n + 1)]
+    g = math.gcd(*c0)
     polys: dict[tuple[int, TwoRowPartition], list[int]] = {}
-    heads: dict[tuple[TwoRowPartition, ...], list[int]] = {
-        (): [a[0] ** k * (fn // math.factorial(k)) ** 2 for k in range(n + 1)]
-    }
+    heads: dict[tuple[TwoRowPartition, ...], list[int]] = {(): [x // g for x in c0]}
 
     def poly(i: int, lam: TwoRowPartition) -> list[int]:
         p = polys.get((i, lam))
@@ -188,7 +191,7 @@ def z_norms(state: WClassState, sectors) -> list[Fraction]:
             ]
         return h
 
-    den_n = den_c**n * fn**2
+    den_n = den_c**n * fn**2 // g
     out = []
     for s in sectors:
         if not w_admissible(s):

@@ -12,8 +12,9 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
-from wkron.exact import RadicalSum, SqrtRational
-from wkron.ghz import JointWeight, joint_weights, multinomial_theta
+from wkron.covariants import MultiPoly
+from wkron.exact import RadicalSum, SqrtRational, _sign
+from wkron.ghz import GramMatrix, JointWeight
 from wkron.kronstate import KroneckerVector, _down_set, _predecessors
 from wkron.partitions import (
     PartitionTuple,
@@ -23,8 +24,125 @@ from wkron.partitions import (
     w_admissible,
 )
 from wkron.protocol import SectorBlock, _num_parties, _single_copy_amplitudes
-from wkron.schur import SchurBlock, SchurLabel, b_coeff, standard_paths
+from wkron.schur import BitString, PathSeq, SchurBlock, SchurLabel, b_coeff, standard_paths
 from wkron.wstates import a_factor
+
+
+def collapse(x: RadicalSum) -> SqrtRational:
+    """Exact conversion to a single SqrtRational; raises if >= 2 radical classes."""
+    if not x.terms:
+        return SqrtRational.zero()
+    if len(x.terms) > 1:
+        raise ValueError(f"not a single radical class: {x.terms}")
+    (d, c), = x.terms.items()
+    return SqrtRational(_sign(c), c * c * d)
+
+
+def squared_magnitudes(k: KroneckerVector) -> list[Fraction]:
+    """Multiset (sorted list) of squared coefficient values."""
+    return sorted(v.square() for v in k.coeffs.values())
+
+
+def trace(g: GramMatrix) -> Fraction:
+    """Exact trace of a Gram matrix, whose diagonal entries are rational."""
+    diag = [g.exact[i][i].as_rational() for i in range(len(g.weights))]
+    if None in diag:
+        raise AssertionError("diagonal Gram entry is not rational")
+    return sum(diag, Fraction(0))
+
+
+# -- paths, permutations and the S_n representation matrices -----------------
+#
+# A permutation is a tuple p of length n mapping position k to p[k] (0-based).
+
+
+def path_is_valid(q: PathSeq) -> bool:
+    if not q or q[0] != 0:
+        return False
+    r1 = r2 = 0
+    for b in q:
+        r1, r2 = r1 + (1 - b), r2 + b
+        if r2 > r1:
+            return False
+    return True
+
+
+def path_terminal(q: PathSeq) -> TwoRowPartition:
+    return TwoRowPartition(sum(1 - b for b in q), sum(q))
+
+
+def row_vector(block: SchurBlock, label: SchurLabel) -> dict[BitString, SqrtRational]:
+    """The B coefficients of one row of a Schur block, by computational string."""
+    return dict(block.items())[label]
+
+
+def apply_perm(p: tuple[int, ...], s: BitString) -> BitString:
+    out = [0] * len(s)
+    for k, b in enumerate(s):
+        out[p[k]] = b
+    return tuple(out)
+
+
+def compose(p1: tuple[int, ...], p2: tuple[int, ...]) -> tuple[int, ...]:
+    """Composition acting as p1 after p2."""
+    return tuple(p1[p2[k]] for k in range(len(p1)))
+
+
+def perm_from_cycle_type(c, n: int | None = None) -> tuple[int, ...]:
+    """Canonical permutation with the given cycle type on 0..n-1."""
+    parts = sorted(c, reverse=True)
+    n = n or sum(parts)
+    if sum(parts) != n:
+        raise ValueError("cycle type does not sum to n")
+    p = list(range(n))
+    a = 0
+    for length in parts:
+        for i in range(length):
+            p[a + i] = a + (i + 1) % length
+        a += length
+    return tuple(p)
+
+
+def perm_cycle_type(p: tuple[int, ...]) -> tuple[int, ...]:
+    seen = [False] * len(p)
+    out = []
+    for k in range(len(p)):
+        if seen[k]:
+            continue
+        length, j = 0, k
+        while not seen[j]:
+            seen[j] = True
+            j = p[j]
+            length += 1
+        out.append(length)
+    return tuple(sorted(out, reverse=True))
+
+
+REP_SIZE_CAP = 8
+
+
+def rep_matrix(lam: TwoRowPartition, perm: tuple[int, ...]) -> list[list[RadicalSum]]:
+    """Orthogonal S_n representation matrix over paths q, with exact entries.
+
+    Satisfies B[lam,om,q][perm.s] = sum_q' S[q][q'] B[lam,om,q'][s].
+    """
+    n = lam.size
+    if n > REP_SIZE_CAP:
+        raise ValueError(f"n={n} exceeds the n<={REP_SIZE_CAP} representation cap")
+    if len(perm) != n:
+        raise ValueError("permutation length mismatch")
+    # the rows of the smallest weight, lambda2, in path order
+    cols = [col for label, col in SchurBlock(lam, n).items() if label.omega == lam.lambda2]
+    d = len(cols)
+    out = [[RadicalSum.zero() for _ in range(d)] for _ in range(d)]
+    for j in range(d):
+        for s, v in cols[j].items():
+            ps = apply_perm(perm, s)
+            for i in range(d):
+                w = cols[i].get(ps)
+                if w is not None:
+                    out[i][j] = out[i][j] + RadicalSum.from_sqrt(w * v)
+    return out
 
 
 def all_cycle_types(n: int) -> tuple[tuple[int, ...], ...]:
@@ -134,6 +252,17 @@ def kron_coeff_young(t: PartitionTuple) -> int:
     return k
 
 
+def joint_weights(n: int, omega: int, omega_p: int):
+    """All joint weights compatible with sequence weights (omega, omega_p)."""
+    for t11 in range(max(0, omega + omega_p - n), min(omega, omega_p) + 1):
+        yield JointWeight(n - omega - omega_p + t11, omega_p - t11, omega - t11, t11)
+
+
+def multinomial_theta(theta: JointWeight) -> int:
+    """Number of sequence pairs with the given joint weight."""
+    return math.factorial(theta.n) // math.prod(map(math.factorial, theta))
+
+
 def hahn_eberlein_3f2(lam: TwoRowPartition, omega_lt: int, omega_gt: int, x: int) -> Fraction:
     """Terminating 3F2(1) summed term by term in Fractions.
 
@@ -171,7 +300,7 @@ def louck_bsum(lam: TwoRowPartition, omega: int, omega_p: int, theta: JointWeigh
     for q in standard_paths(lam):
         b = b_coeff(SchurLabel(lam, omega, q), s) * b_coeff(SchurLabel(lam, omega_p, q), sp)
         acc = acc + RadicalSum.from_sqrt(b)
-    return acc.scale(Fraction(1, dim_irrep(lam))).collapse()
+    return collapse(acc.scale(Fraction(1, dim_irrep(lam))))
 
 
 def overlap_per_theta(lams: PartitionTuple, omega: int, omega_p: int) -> SqrtRational:
@@ -197,6 +326,56 @@ def overlap_per_theta(lams: PartitionTuple, omega: int, omega_p: int) -> SqrtRat
     if q == 0:
         return SqrtRational.zero()
     return SqrtRational(1 if q > 0 else -1, q * q * rad)
+
+
+def projective_transvectant(f: MultiPoly, g: MultiPoly, party: int, order: int) -> MultiPoly:
+    """Single-party transvectant through the projective-coordinate formula,
+    as an independent cross-check of the Omega route."""
+    f._compatible(g)
+    fd, gd = f.multidegree(), g.multidegree()
+    N = f.num_parties
+    out = MultiPoly(N, f.c, f.psi_degree + g.psi_degree, {})
+    if fd is None or gd is None:
+        return out
+    fi, gi = fd[party], gd[party]
+    if not (0 <= order <= min(fi, gi)):
+        return out
+
+    def deriv_p(p: MultiPoly, times: int) -> MultiPoly:
+        # d/dp on the dehomogenized poly: x1 exponent down, x0 exponent up
+        cur = p
+        for _ in range(times):
+            nxt = MultiPoly(N, p.c, p.psi_degree, {})
+            for m, coeff in cur.terms.items():
+                b = m[2 * party + 1]
+                if b:
+                    k = list(m)
+                    k[2 * party + 1] -= 1
+                    k[2 * party] += 1
+                    MultiPoly._add_term(nxt.terms, tuple(k), (coeff[0] * b, coeff[1]))
+            cur = nxt
+        return cur
+
+    for k in range(order + 1):
+        coef = (
+            math.factorial(order)
+            * (-1) ** k
+            * math.comb(fi - order + k, k)
+            * math.comb(gi - k, order - k)
+        )
+        if coef == 0:
+            continue
+        part = deriv_p(f, order - k) * deriv_p(g, k)
+        out = out + part.scale(coef)
+    # re-homogenize from degree fi+gi down to fi+gi-2l in party's x0
+    fixed = MultiPoly(N, f.c, out.psi_degree, {})
+    for m, coeff in out.terms.items():
+        k = list(m)
+        k[2 * party] -= 2 * order
+        if k[2 * party] < 0:
+            raise ValueError("projective transvectant is not polynomial here")
+        MultiPoly._add_term(fixed.terms, tuple(k), coeff)
+    return fixed
 
 
 def sector_cell(block, omega, qt) -> RadicalSum:

@@ -11,17 +11,10 @@ from itertools import product
 
 import numpy as np
 
-from oracles import louck_bsum
+from oracles import joint_weights, louck_bsum, multinomial_theta
 from reference_tables import REFERENCE_TABLES, expand_orbits
 from wkron.covariants import base_form, theorem2_form, transvectant, verify_proportional
-from wkron.ghz import (
-    JointWeight,
-    gram,
-    joint_weights,
-    louck,
-    multinomial_theta,
-    schmidt_spectrum,
-)
+from wkron.ghz import JointWeight, gram, louck, schmidt_spectrum
 from wkron.kronstate import eta, khat, khat_all, normalized, reduced_density, to_table_json
 from wkron.partitions import dim_irrep, kron_coeff, list_partitions, ptuple
 from wkron.probw import p_w, theta_for, z_count, z_count_ct

@@ -307,6 +307,8 @@ def test_verify_two_class_cell_exits_1(capsys, monkeypatch):
          "156cdbb5b0a07ad1eea59f006854c5ccca2f33603cb4840d34a7dc1a8780f9b6"),
         ("prob --state 1/12,1/4,1/3,1/3 --copies 8",
          "2bb408d303dac32a33eef8639030e3e61e01616ee421b1b8aef6f8920ca1601d"),
+        ("prob --state 1/12,1/4,1/3,1/3 --copies 24",
+         "ba584ade63a871226b6e8e3830770a61f3050832ec08ae1fc159d27afdd79adf"),
         ("prob --state ghz:2/7 --copies 6",
          "65daefcb56128ddaaedb2fb4b77d7ce58755b23266493c4c548b69773a4f1d8a"),
         ("covariant --state 1/12,1/4,1/3,1/3 --copies 4 --nu 2,2,2",

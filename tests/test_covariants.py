@@ -2,11 +2,11 @@ import random
 from fractions import Fraction
 from itertools import product
 
+from oracles import projective_transvectant
 from wkron.covariants import (
     MultiPoly,
     base_form,
     format_poly,
-    projective_transvectant,
     theorem2_form,
     transvectant,
     verify_proportional,

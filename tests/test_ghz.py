@@ -7,15 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import hahn_eberlein_3f2, louck_bsum, overlap_per_theta, sector_cell
+from oracles import (
+    hahn_eberlein_3f2,
+    joint_weights,
+    louck_bsum,
+    multinomial_theta,
+    overlap_per_theta,
+    sector_cell,
+    trace,
+)
 from wkron.exact import RadicalSum, SqrtRational
 from wkron.ghz import (
     JointWeight,
     gram,
     hahn_eberlein,
-    joint_weights,
     louck,
-    multinomial_theta,
     overlap,
     schmidt_spectrum,
     sector_probability,
@@ -217,7 +223,7 @@ def test_overlap_examples():
 
 def test_gram_rank1_sector():
     g = gram(ptuple((2, 0), (2, 0), (2, 0)), Fraction(1, 2), 2)
-    assert g.trace() == 1
+    assert trace(g) == 1
     spec = schmidt_spectrum(g)
     assert abs(spec[0] - 1) < 1e-12
     assert all(abs(v) < 1e-12 for v in spec[1:])

@@ -4,7 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import eta_sq_walk, norm_sq_per_coeff, table_json_per_entry
+from oracles import (
+    eta_sq_walk,
+    norm_sq_per_coeff,
+    rep_matrix,
+    squared_magnitudes,
+    table_json_per_entry,
+)
 from wkron import cli, kronstate, protocol
 from wkron.exact import InconsistencyError, RadicalSum, SqrtRational
 from wkron.kronstate import (
@@ -23,7 +29,7 @@ from wkron.kronstate import (
 from wkron.partitions import kron_coeff, ptuple, w_admissible
 from wkron.probw import p_w, p_w_counting
 from wkron.protocol import all_partition_tuples
-from wkron.schur import rep_matrix, standard_paths
+from wkron.schur import standard_paths
 from wkron.wstates import w_normal_form, z_norm
 
 
@@ -70,7 +76,7 @@ def test_eta_examples():
 
 def test_normalized():
     nk = normalized(khat(3, 3, ptuple((2, 1), (2, 1), (2, 1))))
-    assert nk.squared_magnitudes() == [Fraction(1, 4)] * 4
+    assert squared_magnitudes(nk) == [Fraction(1, 4)] * 4
     nk = normalized(khat(3, 2, ptuple((2, 0), (2, 0), (2, 0))))
     assert list(nk.coeffs.values()) == [SqrtRational.one()]
     nk = normalized(khat(3, 2, ptuple((2, 0), (1, 1), (1, 1))))

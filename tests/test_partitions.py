@@ -50,8 +50,8 @@ def test_character_identity_class_is_dimension():
 
 def test_character_vs_rep_trace():
     # brute-force trace of the representation matrices, n <= 5
+    from oracles import perm_from_cycle_type, rep_matrix
     from wkron.exact import RadicalSum
-    from wkron.schur import perm_from_cycle_type, rep_matrix
 
     for n in range(2, 6):
         for lam in list_partitions(n):
@@ -149,7 +149,7 @@ def test_kron_coeff_equals_invariant_nullity():
 
     import numpy as np
 
-    from wkron.schur import rep_matrix
+    from oracles import rep_matrix
 
     for num_parties in (3, 4):
         for n in range(2, 6):

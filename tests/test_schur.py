@@ -4,22 +4,19 @@ from fractions import Fraction
 
 import pytest
 
-from wkron.exact import RadicalSum, SqrtRational
-from wkron.partitions import TwoRowPartition, list_partitions
-from wkron.schur import (
-    SchurBlock,
-    SchurLabel,
+from oracles import (
     apply_perm,
-    b_coeff,
     compose,
-    gamma,
     path_is_valid,
     path_terminal,
     perm_cycle_type,
     perm_from_cycle_type,
     rep_matrix,
-    standard_paths,
+    row_vector,
 )
+from wkron.exact import RadicalSum, SqrtRational
+from wkron.partitions import TwoRowPartition, list_partitions
+from wkron.schur import SchurBlock, SchurLabel, b_coeff, gamma, standard_paths
 
 
 def sq(x):
@@ -165,7 +162,7 @@ def test_rep_matrix_defining_relation():
             paths = standard_paths(lam)
             block = SchurBlock(lam, n)
             for om in range(lam.lambda2, lam.lambda1 + 1):
-                cols = [block.row_vector(SchurLabel(lam, om, q)) for q in paths]
+                cols = [row_vector(block, SchurLabel(lam, om, q)) for q in paths]
                 for s in cols[0].keys() | {k for c in cols for k in c}:
                     for i, q in enumerate(paths):
                         lhs = RadicalSum.from_sqrt(
@@ -218,8 +215,3 @@ def test_perm_helpers():
     assert apply_perm((1, 0, 2), (1, 0, 0)) == (0, 1, 0)
     q = compose(p, p)
     assert perm_cycle_type(q) == (3, 1, 1)
-
-
-def test_label_json_round_trip():
-    lbl = SchurLabel(TwoRowPartition(3, 1), 2, (0, 1, 0, 0))
-    assert SchurLabel.from_json(lbl.to_json()) == lbl
