@@ -52,9 +52,12 @@ def _write_json(obj, out: str | None, indent: int | None = None):
 def _parse_state(spec: str, parties: int | None):
     if spec in ("W", "w"):
         return w_normal_form(3 if parties is None else parties)
-    if spec.startswith("ghz:"):
-        return protocol.GHZState(Fraction(spec[4:]), 3 if parties is None else parties)
-    state = parse_w_state(spec)
+    try:
+        if spec.startswith("ghz:"):
+            return protocol.GHZState(Fraction(spec[4:]), 3 if parties is None else parties)
+        state = parse_w_state(spec)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"state {spec!r} has a zero denominator") from exc
     if parties is not None and parties != state.num_parties:
         raise ValueError(f"--parties {parties} inconsistent with {state.num_parties}-party weights")
     return state
@@ -129,6 +132,8 @@ def cmd_ghz_spectrum(args) -> int:
 
 def cmd_covariant(args) -> int:
     state = _parse_state(args.state, args.parties)
+    if isinstance(state, protocol.GHZState):
+        raise ValueError("covariant takes a W-class state, not a GHZ state")
     nu = tuple(int(tok) for tok in args.nu.split(","))
     poly = covariants.theorem2_form(state, args.copies, nu)
     if poly is None:

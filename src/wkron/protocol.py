@@ -17,13 +17,13 @@ sqrt(u_{j_i}) is split into a numerator and a class once per final cell.
 Every cell shares one denominator, the lcm of the amplitude denominators
 times D^N.  Sector blocks keep that form, nonzero cells only, so norms and
 the rank-1 check run in integers and the recurrence is checked against them
-with zero tolerance.  Sectors and their cells come in first-touch order: by
-the first amplitude (in dict order) that reaches them, then by label indices,
-the order in which a nested loop over amplitudes and then over each party's
-columns would first touch them.  Sampling from a raw amplitude list draws
-over that order.  The oracle is capped at EXACT_CAP qubits.  `sample_run`,
-`residual_schmidt` and `SectorBlock.float_matrix` read floats from the exact
-blocks; they stay until the residual spectra are exact.
+with zero tolerance.  The order of the sectors and of their cells is not
+part of the contract; `sector_distribution` lists every state's rows, a raw
+amplitude list's included, in the order of `all_partition_tuples`, and
+seeded samples draw over that order.  The oracle is capped at EXACT_CAP
+qubits.  `sample_run`, `residual_schmidt` and `SectorBlock.float_matrix`
+read floats from the exact blocks; they stay until the residual spectra are
+exact.
 
 Bit layout (part of the contract): amplitude index is an (N*n)-bit integer,
 party-major, with party i's copy-k qubit at bit position i*n + k counted from
@@ -39,7 +39,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, product
-from operator import itemgetter
 
 import numpy as np
 
@@ -73,10 +72,13 @@ class GHZState:
         object.__setattr__(self, "alpha", a)
         if not (0 < a < 1):
             raise ValueError("alpha must lie strictly between 0 and 1")
+        if self.num_parties < 2:
+            raise ValueError(f"N >= 2 required, got {self.num_parties}")
 
 
-def _single_copy_amplitudes(state) -> dict[tuple[int, ...], SqrtRational]:
-    """Exact amplitudes of one copy, keyed by the N-bit pattern tuple."""
+def _single_copy_amplitudes(state) -> tuple[int, dict[tuple[int, ...], SqrtRational]]:
+    """The number of parties N and the exact nonzero amplitudes of one copy,
+    keyed by the N-bit pattern tuple."""
     if isinstance(state, (list, tuple)):
         dim = len(state)
         if dim < 4:
@@ -91,7 +93,7 @@ def _single_copy_amplitudes(state) -> dict[tuple[int, ...], SqrtRational]:
             a = a if isinstance(a, SqrtRational) else SqrtRational.from_rational(a)
             if not a.is_zero:
                 out[tuple((idx >> (N - 1 - j)) & 1 for j in range(N))] = a
-        return out
+        return N, out
     if isinstance(state, WClassState):
         N = state.num_parties
         out = {}
@@ -101,21 +103,13 @@ def _single_copy_amplitudes(state) -> dict[tuple[int, ...], SqrtRational]:
             if state.c[i]:
                 bits = tuple(1 if j == i - 1 else 0 for j in range(N))
                 out[bits] = SqrtRational.sqrt(state.c[i])
-        return out
+        return N, out
     if isinstance(state, GHZState):
         N = state.num_parties
-        return {
+        return N, {
             (0,) * N: SqrtRational.sqrt(1 - state.alpha),
             (1,) * N: SqrtRational.sqrt(state.alpha),
         }
-    raise TypeError(f"unsupported state spec {state!r}")
-
-
-def _num_parties(state) -> int:
-    if isinstance(state, (WClassState, GHZState)):
-        return state.num_parties
-    if isinstance(state, (list, tuple)):
-        return len(state).bit_length() - 1
     raise TypeError(f"unsupported state spec {state!r}")
 
 
@@ -139,8 +133,7 @@ def tensor_power(state, n: int) -> DenseState:
     amplitude list (length 2^N, exact scalars) is accepted in place of a state
     object.  Amplitudes come in nested-loop order over the copies, the first
     outermost, each over the nonzero single-copy patterns in order."""
-    single = _single_copy_amplitudes(state)
-    N = _num_parties(state)
+    N, single = _single_copy_amplitudes(state)
     if N * n > EXACT_CAP:
         raise SizeCapError(f"{N * n} qubits exceeds the {EXACT_CAP}-qubit dense cap")
     # per pattern: its bits one place above copy 0's (copy k's are these
@@ -220,96 +213,55 @@ def _times_root(cell: dict[int, int], k: int, e: int, acc: dict[int, int]) -> di
 
 
 def multilocal_schur(state: DenseState) -> dict[PartitionTuple, SectorBlock]:
+    """The nonzero sector blocks of psi^(x)n after the multilocal Schur
+    transform, in no promised order of sectors or cells."""
     n, N = state.copies, state.num_parties
     cols, roots, D, labels = party_columns(n)
     mask = (1 << n) - 1
     A = math.lcm(*(den for _, _, den in state.amplitudes.values()))
-    # A term (m, s, c) of class d under a key is c * sqrt(d) *
-    # prod sqrt(roots[j]) / (A * D**parties_done), with s the string of the
-    # party contracted next.  The key holds the label indices j of the
-    # parties done and the strings of the parties after s; d is the
-    # squarefree class of the amplitude the term came from, and classes
-    # never mix because the labels' radicals stay outside until the end.
-    # m is the least position (in dict order) of an amplitude whose terms
-    # reach the key and s, in any class: a nested loop over the amplitudes
-    # and then over each party's columns touches the final keys in order of
-    # m and then label indices, and the sectors and cells keep that order.
+    # A term (s, c) of class d under a key is c * sqrt(d) * prod sqrt(roots[j])
+    # / (A * D**parties_done), with s the string of the party contracted
+    # next.  The key holds the label indices j of the parties done, then the
+    # strings of the parties after s, then a 0 that stands for the string
+    # after the last party; d is the squarefree class of the amplitude the
+    # term came from, and classes never mix because the labels' radicals stay
+    # outside until the end.
     groups: dict[tuple, dict[int, list]] = {}
-    for m, (idx, (d, num, den)) in enumerate(state.amplitudes.items()):
-        key = tuple([(idx >> (N - 1 - i) * n) & mask for i in range(1, N)])
-        term = (m, idx >> (N - 1) * n, num * (A // den))
+    for idx, (d, num, den) in state.amplitudes.items():
+        key = tuple([(idx >> (N - 1 - i) * n) & mask for i in range(1, N)] + [0])
+        term = (idx >> (N - 1) * n, num * (A // den))
         groups.setdefault(key, {}).setdefault(d, []).append(term)
-    for i in range(N - 1):
-        groups = _contract_party(groups, i, cols, last=False)
-    final = _contract_party(groups, N - 1, cols, last=True)
-    final.sort(key=itemgetter(0, 1))
+    for i in range(N):
+        groups = _contract_party(groups, i, cols)
     sectors: dict[tuple, dict] = {}
-    for _, key, d, c in final:
-        # c * sqrt(d) * prod sqrt(roots[j]) as one numerator and class
-        for j in key:
-            g = math.gcd(d, roots[j])
-            d, c = (d // g) * (roots[j] // g), c * g
+    for key, by_class in groups.items():
         lams, om, qt = zip(*[labels[j] for j in key])
-        sectors.setdefault(lams, {}).setdefault((om, qt), {})[d] = c
+        cell = sectors.setdefault(lams, {}).setdefault((om, qt), {})
+        for d, ((_, c),) in by_class.items():
+            # c * sqrt(d) * prod sqrt(roots[j]) as one numerator and class
+            for j in key:
+                g = math.gcd(d, roots[j])
+                d, c = (d // g) * (roots[j] // g), c * g
+            cell[d] = c
     blocks = (SectorBlock(PartitionTuple(lams), A * D**N, c) for lams, c in sectors.items())
     return {block.lams: block for block in blocks}
 
 
-def _contract_party(groups: dict, i: int, cols, last: bool):
-    """Replace party i's string by each label index j.  The terms (m, s, c)
-    of one key and class sum to sum c * K(j, s) for every j, in integers.
-    A new key's m is the least m of the terms that reach it, in any class
-    and whether or not its sum cancels; a (key, class) whose sum cancels is
-    dropped.  Returns the groups for party i + 1, or after the last party
-    the list of (m, key, d, c)."""
-    out: dict | list = [] if last else {}
+def _contract_party(groups: dict, i: int, cols) -> dict:
+    """Replace party i's string by each label index j: the terms (s, c) of
+    one key and class sum to sum c * K(j, s) for every j, in integers, and a
+    sum that cancels is dropped.  Returns the groups for party i + 1."""
+    out: dict = {}
     for key, by_class in groups.items():
-        head = key[:i]
-        if not last:
-            s_next, tail = key[i], key[i + 1 :]
-        # per class, (j, sum, least m of a term reaching j) in the order a
-        # loop over the terms by increasing m first reaches j
-        sums = []
+        head, s_next, tail = key[:i], key[i], key[i + 1 :]
         for d, terms in by_class.items():
-            if len(terms) == 1:
-                ((m, s, c),) = terms
-                sums.append((d, [(j, c * k, m) for j, k in cols[s]]))
-                continue
-            terms.sort()  # by m: no two terms of one key and class share it
             acc: dict[int, int] = {}
-            firsts: list[int] = []
-            for m, s, c in terms:
+            for s, c in terms:
                 for j, k in cols[s]:
-                    if j in acc:
-                        acc[j] += c * k
-                    else:
-                        acc[j] = c * k
-                if len(acc) > len(firsts):
-                    firsts += [m] * (len(acc) - len(firsts))
-            sums.append((d, [(j, c, m) for (j, c), m in zip(acc.items(), firsts)]))
-        if len(sums) > 1:
-            # one m per new key, the least over its classes
-            first: dict[int, int] = {}
-            for _, col in sums:
-                for j, _, m in col:
-                    if m < first.get(j, m + 1):
-                        first[j] = m
-            sums = [(d, [(j, c, first[j]) for j, c, _ in col]) for d, col in sums]
-        for d, col in sums:
-            for j, c, m in col:
-                if not c:
-                    continue
-                if last:
-                    out.append((m, head + (j,), d, c))
-                    continue
-                nk = head + (j,) + tail
-                by = out.get(nk)
-                if by is None:
-                    out[nk] = {d: [(m, s_next, c)]}
-                elif d in by:
-                    by[d].append((m, s_next, c))
-                else:
-                    by[d] = [(m, s_next, c)]
+                    acc[j] = acc.get(j, 0) + c * k
+            for j, c in acc.items():
+                if c:
+                    out.setdefault(head + (j,) + tail, {}).setdefault(d, []).append((s_next, c))
     return out
 
 
@@ -384,13 +336,15 @@ def all_partition_tuples(num_parties: int, n: int):
 
 
 def sector_distribution(state, n: int) -> list[tuple[PartitionTuple, Fraction]]:
-    """Exact outcome distribution over partition tuples, nonzero entries only.
+    """Exact outcome distribution over partition tuples, nonzero entries only,
+    in the order of `all_partition_tuples` for every kind of state.
 
     W-class states use `probw.sector_probabilities` (Z * eta^2, one integer
     eta^2 sweep up to level n for every sector) and GHZ states the Louck-polynomial
     sum `ghz.sector_probability`, both closed forms with no size cap; this is
     the route of `wkron prob` and `wkron sample`.  Raw amplitude lists fall
-    back to the exact dense oracle within its cap.
+    back to the exact dense oracle within its cap, so a raw list that spells
+    out a W-class or GHZ state gives that state's rows.
     """
     if isinstance(state, WClassState):
         sectors = list(all_partition_tuples(state.num_parties, n))
@@ -401,11 +355,19 @@ def sector_distribution(state, n: int) -> list[tuple[PartitionTuple, Fraction]]:
             for lams in all_partition_tuples(state.num_parties, n)
         ]
     elif isinstance(state, (list, tuple)):
-        sectors = multilocal_schur(tensor_power(state, n))
-        out = [(lams, b.norm_sq()) for lams, b in sectors.items()]
+        out = _dense_sectors(state, n)[1]
     else:
         raise TypeError("sector_distribution needs a WClassState, GHZState or amplitude list")
     return _nonzero_normalized(out)
+
+
+def _dense_sectors(state, n: int):
+    """The dense oracle's sector blocks of state^(x)n and their rows (lams,
+    squared norm), in the order of `all_partition_tuples`."""
+    dense = tensor_power(state, n)
+    sectors = multilocal_schur(dense)
+    return sectors, [(lams, sectors[lams].norm_sq())
+                     for lams in all_partition_tuples(dense.num_parties, n) if lams in sectors]
 
 
 def _nonzero_normalized(rows) -> list[tuple[PartitionTuple, Fraction]]:
@@ -436,6 +398,8 @@ def sample_outcomes(state, n: int, seed: int, count: int) -> list[PartitionTuple
 
     The pseudorandom stream is Python's Mersenne Twister seeded with `seed`;
     each draw consumes 64 bits, u = getrandbits(64)/2^64, platform independent.
+    A draw is the first row of `sector_distribution(state, n)`, in its
+    `all_partition_tuples` order, whose cumulative probability exceeds u.
     """
     if count < 0:
         raise ValueError(f"cannot draw {count} samples")
@@ -458,8 +422,8 @@ def sample_run(state, n: int, seed: int) -> dict:
     raw amplitude list one dense oracle run gives both the distribution and the
     measured block."""
     if isinstance(state, (list, tuple)):
-        sectors = multilocal_schur(tensor_power(state, n))
-        dist = _nonzero_normalized((lams, b.norm_sq()) for lams, b in sectors.items())
+        sectors, rows = _dense_sectors(state, n)
+        dist = _nonzero_normalized(rows)
     else:
         dist = sector_distribution(state, n)
     lams = _draw(dist, seed, 1)[0]
@@ -486,8 +450,7 @@ def sample_run(state, n: int, seed: int) -> dict:
 
 def marginal_entropy(state, party: int) -> float:
     """Von Neumann entropy (bits) of one party's single-copy reduced state."""
-    single = _single_copy_amplitudes(state)
-    N = _num_parties(state)
+    N, single = _single_copy_amplitudes(state)
     if not (0 <= party < N):
         raise ValueError("party index out of range")
     rho = np.zeros((2, 2))

@@ -23,7 +23,7 @@ from wkron.partitions import (
     list_partitions,
     w_admissible,
 )
-from wkron.protocol import SectorBlock, _num_parties, _single_copy_amplitudes
+from wkron.protocol import SectorBlock, _single_copy_amplitudes
 from wkron.schur import BitString, PathSeq, SchurBlock, SchurLabel, b_coeff, standard_paths
 from wkron.wstates import a_factor
 
@@ -473,8 +473,7 @@ def tensor_power_reference(state, n: int) -> dict[int, SqrtRational]:
     """Amplitudes of state^(x)n as one SqrtRational product each, keyed by
     per-party bit tuples grown copy by copy and packed into the party-major
     index at the end; the order is the one `protocol.tensor_power` keeps."""
-    single = _single_copy_amplitudes(state)
-    N = _num_parties(state)
+    N, single = _single_copy_amplitudes(state)
     amps: dict[tuple[tuple[int, ...], ...], SqrtRational] = {((),) * N: SqrtRational.one()}
     for _ in range(n):
         amps = {
@@ -498,10 +497,9 @@ def multilocal_schur_reference(state, n: int) -> dict[PartitionTuple, SectorBloc
     SqrtRational tensor power, with the radicals inside the contraction:
     every amplitude is split by `radical_parts`, every value is a {radical
     class: numerator} dict and every (term, column) pair multiplies radicals
-    through a gcd.  Keys are touched in nested-loop order (amplitudes in dict
-    order, then columns in label order), which fixes the order of the sectors
-    and of their cells."""
-    N = _num_parties(state)
+    through a gcd.  Sectors, denominators and cells are the same; neither
+    function promises an order."""
+    N = _single_copy_amplitudes(state)[0]
     cols, D, labels = _party_columns_per_class(n)
     # keys: per-party entries are raw bit tuples, replaced party by party with
     # label indices; a value {d: c} is sum(c * sqrt(d)) / (A * D**parties_done)

@@ -121,6 +121,13 @@ def test_kron_parties_mismatch_exit_2(capsys):
         # refused by the support cap (4.4e9 and 5.9e16 slots) before khat runs
         (["kron", "--lambda", "10,5;10,5;10,5"], "support 4394826072 (the product"),
         (["kron", "--lambda", "16,8;16,8;16,8"], "over the cap of 4000000"),
+        # state specs that are not states
+        (["prob", "--state", "1/0,1", "--copies", "2"], "zero denominator"),
+        (["sample", "--state", "1/0,1,1", "--copies", "2"], "zero denominator"),
+        (["prob", "--state", "ghz:1/0", "--copies", "2"], "zero denominator"),
+        (["covariant", "--state", "ghz:1/3", "--copies", "2", "--nu", "2,2,2"], "not a GHZ state"),
+        (["prob", "--state", "ghz:1/2", "--parties", "1", "--copies", "2"], "N >= 2 required"),
+        (["prob", "--state", "ghz:1/2", "--parties", "-2", "--copies", "2"], "N >= 2 required"),
     ],
 )
 def test_out_of_range_input_exit_2(capsys, argv, reason):
@@ -233,6 +240,17 @@ def test_ghz_spectrum_rows_at_90_copies_lie_between_15_and_the_rank(capsys):
     assert {(r["n"], r["lambda"]) for r in rows} == {("90", "60,30")}
     assert 15 <= len(rows) <= kron_coeff(ptuple((60, 30), (60, 30), (60, 30))) == 16
     assert all(float(r["gamma"]) > 1e-12 for r in rows)
+
+
+@pytest.mark.parametrize("n, lam, rank", [(30, (20, 10), 6), (60, (40, 20), 11)])
+def test_ghz_spectrum_rows_at_30_and_60_copies_equal_the_rank(capsys, n, lam, rank):
+    # below n = 90 every nonzero Schmidt coefficient of the typical sector
+    # is printed, so the row count is its Kronecker coefficient
+    code, out, _ = run(["ghz-spectrum", "--copies", str(n), "--alpha", "1/3"], capsys)
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert {(r["n"], r["lambda"]) for r in rows} == {(str(n), f"{lam[0]},{lam[1]}")}
+    assert len(rows) == kron_coeff(ptuple(lam, lam, lam)) == rank
 
 
 def test_ghz_spectrum_rank1_single_row(capsys):
