@@ -39,10 +39,11 @@ def _write_csv(header: list[str], rows, out: str | None):
     _write(buf.getvalue(), out)
 
 
-def _write_json(obj, out: str | None, indent: int | None = None):
-    """Write obj as JSON and a newline.  The text goes out in pieces of a few
-    thousand chunks, so a large table's text is never held whole."""
-    chunks = json.JSONEncoder(indent=indent).iterencode(obj)
+def _write_json(obj, out: str | None):
+    """Write obj as JSON with a one-space indent, and a newline.  The text
+    goes out in pieces of a few thousand chunks, so a large table's text is
+    never held whole."""
+    chunks = json.JSONEncoder(indent=1).iterencode(obj)
     with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
         while piece := "".join(islice(chunks, 4096)):
             fh.write(piece)
@@ -66,31 +67,21 @@ def _parse_state(spec: str, parties: int | None):
 def cmd_kron(args) -> int:
     lams = parse_partition_tuple(args.lam)
     if lams.n > protocol.KRON_N_CAP:
-        print(f"sector {lams} has n = {lams.n}, over the cap of n <= {protocol.KRON_N_CAP}",
-              file=sys.stderr)
-        return 2
+        raise ValueError(
+            f"sector {lams} has n = {lams.n}, over the cap of n <= {protocol.KRON_N_CAP}")
     if args.parties is not None and args.parties != lams.num_parties:
-        print(
-            f"--parties {args.parties} inconsistent with {lams.num_parties}-party lambda",
-            file=sys.stderr,
-        )
-        return 2
+        raise ValueError(
+            f"--parties {args.parties} inconsistent with {lams.num_parties}-party lambda")
     if not w_admissible(lams):
-        print(f"inadmissible partition tuple {lams}", file=sys.stderr)
-        return 2
+        raise ValueError(f"inadmissible partition tuple {lams}")
     support = math.prod(kronstate.sector_dims(lams))
     if support > protocol.KRON_SUPPORT_CAP:
-        print(
-            f"sector {lams} has support {support} (the product of its dimensions), "
-            f"over the cap of {protocol.KRON_SUPPORT_CAP}",
-            file=sys.stderr,
-        )
-        return 2
+        raise ValueError(f"sector {lams} has support {support} (the product of its dimensions), "
+                         f"over the cap of {protocol.KRON_SUPPORT_CAP}")
     k = kron_coeff(lams)
     kv = kronstate.khat(lams.num_parties, lams.n, lams)
     if kv.is_zero:
-        print(f"sector {lams} carries no Kronecker support", file=sys.stderr)
-        return 2
+        raise ValueError(f"sector {lams} carries no Kronecker support")
     # eta^2 by two routes: the integer stencil and the coefficients' sum
     eta_sq, norm_sq = kronstate.eta_sq(lams), kv.norm_sq()
     if eta_sq != norm_sq:
@@ -102,7 +93,7 @@ def cmd_kron(args) -> int:
     table["eta"] = SqrtRational.sqrt(eta_sq).to_json()
     table["p_w"] = str(probw.p_w(lams))
     table["kron_coeff"] = k
-    _write_json(table, args.out, indent=1)
+    _write_json(table, args.out)
     return 0
 
 
@@ -152,7 +143,7 @@ def cmd_sample(args) -> int:
 
 def cmd_verify(args) -> int:
     report = protocol.verify_report(((3, args.nmax3), (4, args.nmax4)))
-    _write_json(report, args.out, indent=1)
+    _write_json(report, args.out)
     return 0 if report["ok"] else 1
 
 

@@ -2,19 +2,18 @@
 a small dense symmetric eigensolver, and `InconsistencyError`, raised when an
 exact check fails.
 
-The workhorse scalar is :class:`SqrtRational`, a value ``sign * sqrt(radicand)``
+The one scalar is :class:`SqrtRational`, a value ``sign * sqrt(radicand)``
 with ``radicand`` a nonnegative ``Fraction``.  The set of such values is closed
 under multiplication and division, which is all the recurrences downstream
-need.  Sums of SqrtRationals are deliberately *not* part of the public ring:
-every exact summation in the package is either provably rational or shares a
-common radical that the caller factors out first.  The one internal exception
-is :class:`RadicalSum`, a private accumulator over squarefree radicands; the
-package reads it only in `kronstate.reduced_density`, whose entries must come
-out rational.  The brute-force oracle keeps integer numerators per radical
-class instead, split off by :meth:`SqrtRational.radical_parts` on single-copy
-amplitudes only and by `schur.party_columns` on integer B coefficients, the
-two places that do.  `sym_eig` and the float matrices it reads stay until the
-GHZ spectra are exact.
+need.  Sums of SqrtRationals are deliberately *not* part of the ring.  Where
+a sum crosses radical classes, the caller splits each value once into a
+squarefree class d and an integer numerator over a common denominator
+(:meth:`SqrtRational.radical_parts`, or `schur.party_columns` for the integer
+B coefficients) and keeps one integer per class.  The private `_times_root`
+is the one rule for such sums: sqrt(d) * sqrt(e) = g * sqrt(d e / g^2) with
+g = gcd(d, e), so a product's class takes one gcd and no factoring.  The
+dense oracle (`protocol`) and `kronstate.reduced_density` read it.  `sym_eig`
+and the float matrices it reads stay until the GHZ spectra are exact.
 """
 
 from __future__ import annotations
@@ -176,94 +175,17 @@ def _squarefree(n: int) -> tuple[int, int]:
     return m, d * n
 
 
-class RadicalSum:
-    """Internal exact accumulator: a Q-linear combination of sqrt(d) terms
-    with d squarefree.  Supports +, - and *.
-
-    Not part of the public scalar ring; used where the reduced density of a
-    Kronecker vector and the tests must add cross-radical products exactly.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[int, Fraction] | None = None):
-        self.terms = terms or {}
-
-    @staticmethod
-    def zero() -> "RadicalSum":
-        return RadicalSum()
-
-    @staticmethod
-    def from_sqrt(x: SqrtRational) -> "RadicalSum":
-        if x.sign == 0:
-            return RadicalSum()
-        d, num, den = x.radical_parts()
-        return RadicalSum({d: Fraction(num, den)})
-
-    @staticmethod
-    def from_rational(q) -> "RadicalSum":
-        q = Fraction(q)
-        return RadicalSum({1: q}) if q else RadicalSum()
-
-    def __add__(self, other: "RadicalSum") -> "RadicalSum":
-        out = dict(self.terms)
-        for d, c in other.terms.items():
-            c2 = out.get(d, 0) + c
-            if c2:
-                out[d] = c2
-            else:
-                out.pop(d, None)
-        return RadicalSum(out)
-
-    def __sub__(self, other: "RadicalSum") -> "RadicalSum":
-        return self + (-other)
-
-    def __neg__(self) -> "RadicalSum":
-        return RadicalSum({d: -c for d, c in self.terms.items()})
-
-    def __mul__(self, other: "RadicalSum") -> "RadicalSum":
-        out: dict[int, Fraction] = {}
-        for d1, c1 in self.terms.items():
-            for d2, c2 in other.terms.items():
-                g = math.gcd(d1, d2)
-                d, c = (d1 // g) * (d2 // g), c1 * c2 * g
-                cur = out.get(d, 0) + c
-                if cur:
-                    out[d] = cur
-                else:
-                    out.pop(d, None)
-        return RadicalSum(out)
-
-    def scale(self, q) -> "RadicalSum":
-        q = Fraction(q)
-        if not q:
-            return RadicalSum()
-        return RadicalSum({d: c * q for d, c in self.terms.items()})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RadicalSum) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def as_rational(self) -> Fraction | None:
-        if not self.terms:
-            return Fraction(0)
-        if set(self.terms) == {1}:
-            return self.terms[1]
-        return None
-
-    def __float__(self) -> float:
-        return float(sum(float(c) * math.sqrt(d) for d, c in self.terms.items()))
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        return " + ".join(f"{c}*sqrt({d})" for d, c in sorted(self.terms.items()))
+def _times_root(cell: dict[int, int], k: int, e: int, acc: dict[int, int]) -> dict[int, int]:
+    """acc += cell * k * sqrt(e) in integers, e squarefree; zero classes drop out."""
+    for d, c in cell.items():
+        g = math.gcd(d, e)
+        r = (d // g) * (e // g)
+        t = acc.get(r, 0) + c * k * g
+        if t:
+            acc[r] = t
+        else:
+            del acc[r]
+    return acc
 
 
 def sym_eig(m) -> list[float]:

@@ -39,7 +39,7 @@ from functools import lru_cache
 from itertools import product
 from operator import itemgetter
 
-from .exact import InconsistencyError, RadicalSum, SqrtRational
+from .exact import InconsistencyError, SqrtRational, _times_root
 from .partitions import PartitionTuple, TwoRowPartition, dim_irrep, list_partitions, w_admissible
 from .schur import standard_paths
 
@@ -313,30 +313,38 @@ def normalized(k: KroneckerVector) -> KroneckerVector:
 
 
 def reduced_density(k: KroneckerVector, party: int) -> list[list[Fraction]]:
-    """Exact single-party reduced density matrix over the party's paths.
+    """Exact single-party reduced density matrix over the party's paths, in
+    lexicographic path order: rho[i][j] = sum of k(q_i, rest) * k(q_j, rest)
+    over the other parties' paths rest.
 
-    Entries are sums of coefficient products; within a sector all products
-    share one radical class, so the result is rational.
+    Each coefficient value object (`khat` shares them) is split once into
+    its squarefree class e and an integer numerator over one common
+    denominator D, the lcm of the radicands' denominators.  An entry is then
+    a sum of integers per class over D^2, added by `exact._times_root` with
+    no product factored.  Within a sector all products share one radical
+    class, so every entry is rational; one that is not raises ValueError.
     """
     paths = standard_paths(k.lams[party])
     index = {q: i for i, q in enumerate(paths)}
     d = len(paths)
-    acc = [[RadicalSum.zero() for _ in range(d)] for _ in range(d)]
-    by_rest: dict[tuple, list[tuple[int, SqrtRational]]] = {}
+    vals = k.coeffs.values()
+    parts = {i: v.radical_parts() for i, v in dict(zip(map(id, vals), vals)).items() if v.sign}
+    den = math.lcm(*(q for _, _, q in parts.values()))
+    split = {i: (e, num * (den // q)) for i, (e, num, q) in parts.items()}
+    by_rest: dict[tuple, list[tuple[int, int, int]]] = {}
     for qt, v in k.coeffs.items():
-        rest = qt[:party] + qt[party + 1:]
-        by_rest.setdefault(rest, []).append((index[qt[party]], v))
+        if id(v) in split:
+            rest = qt[:party] + qt[party + 1:]
+            by_rest.setdefault(rest, []).append((index[qt[party]], *split[id(v)]))
+    acc: list[list[dict[int, int]]] = [[{} for _ in range(d)] for _ in range(d)]
     for entries in by_rest.values():
-        for i, vi in entries:
-            for j, vj in entries:
-                acc[i][j] = acc[i][j] + RadicalSum.from_sqrt(vi * vj)
-    out = []
-    for row in acc:
-        vals = [x.as_rational() for x in row]
-        if any(v is None for v in vals):
-            raise ValueError("reduced density entry is not rational")
-        out.append(vals)
-    return out
+        for i, e, c in entries:
+            row, cell = acc[i], {e: c}
+            for j, e2, c2 in entries:
+                _times_root(cell, c2, e2, row[j])
+    if any(set(cell) - {1} for row in acc for cell in row):
+        raise ValueError("reduced density entry is not rational")
+    return [[Fraction(cell.get(1, 0), den * den) for cell in row] for row in acc]
 
 
 def verify_lemma1(k: KroneckerVector, party: int) -> float:

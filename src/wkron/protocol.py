@@ -44,7 +44,7 @@ import numpy as np
 
 from . import ghz as ghzmod
 from . import probw
-from .exact import InconsistencyError, SqrtRational
+from .exact import InconsistencyError, SqrtRational, _times_root
 from .kronstate import KroneckerVector, khat, normalized
 from .partitions import PartitionTuple, list_partitions, w_admissible
 from .schur import party_columns, standard_paths
@@ -199,19 +199,6 @@ class SectorBlock:
         return m
 
 
-def _times_root(cell: dict[int, int], k: int, e: int, acc: dict[int, int]) -> dict[int, int]:
-    """acc += cell * k * sqrt(e) in integers, e squarefree; zero classes drop out."""
-    for d, c in cell.items():
-        g = math.gcd(d, e)
-        r = (d // g) * (e // g)
-        t = acc.get(r, 0) + c * k * g
-        if t:
-            acc[r] = t
-        else:
-            del acc[r]
-    return acc
-
-
 def multilocal_schur(state: DenseState) -> dict[PartitionTuple, SectorBlock]:
     """The nonzero sector blocks of psi^(x)n after the multilocal Schur
     transform, in no promised order of sectors or cells."""
@@ -363,7 +350,12 @@ def sector_distribution(state, n: int) -> list[tuple[PartitionTuple, Fraction]]:
 
 def _dense_sectors(state, n: int):
     """The dense oracle's sector blocks of state^(x)n and their rows (lams,
-    squared norm), in the order of `all_partition_tuples`."""
+    squared norm), in the order of `all_partition_tuples`.  A state whose
+    single copy does not have squared norm 1 is bad input, refused before
+    the tensor power is built."""
+    norm = sum(a.square() for a in _single_copy_amplitudes(state)[1].values())
+    if norm != 1:
+        raise ValueError(f"amplitudes have squared norm {norm}, not 1")
     dense = tensor_power(state, n)
     sectors = multilocal_schur(dense)
     return sectors, [(lams, sectors[lams].norm_sq())

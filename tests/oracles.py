@@ -13,7 +13,7 @@ from functools import lru_cache
 from operator import mul
 
 from wkron.covariants import MultiPoly
-from wkron.exact import RadicalSum, SqrtRational, _sign
+from wkron.exact import SqrtRational, _sign, _times_root
 from wkron.ghz import GramMatrix, JointWeight
 from wkron.kronstate import KroneckerVector, _down_set, _predecessors
 from wkron.partitions import (
@@ -28,6 +28,86 @@ from wkron.schur import BitString, PathSeq, SchurBlock, SchurLabel, b_coeff, sta
 from wkron.wstates import a_factor
 
 
+class RadicalSum:
+    """Exact Q-linear combination of sqrt(d) terms, d squarefree, as
+    {d: nonzero Fraction}.  Supports +, - and *; a product of two classes
+    goes through `exact._times_root`, the package's one class-product rule."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: dict[int, Fraction] | None = None):
+        self.terms = terms or {}
+
+    @staticmethod
+    def zero() -> "RadicalSum":
+        return RadicalSum()
+
+    @staticmethod
+    def from_sqrt(x: SqrtRational) -> "RadicalSum":
+        if x.sign == 0:
+            return RadicalSum()
+        d, num, den = x.radical_parts()
+        return RadicalSum({d: Fraction(num, den)})
+
+    @staticmethod
+    def from_rational(q) -> "RadicalSum":
+        q = Fraction(q)
+        return RadicalSum({1: q}) if q else RadicalSum()
+
+    def __add__(self, other: "RadicalSum") -> "RadicalSum":
+        out = dict(self.terms)
+        for d, c in other.terms.items():
+            c2 = out.get(d, 0) + c
+            if c2:
+                out[d] = c2
+            else:
+                out.pop(d, None)
+        return RadicalSum(out)
+
+    def __sub__(self, other: "RadicalSum") -> "RadicalSum":
+        return self + (-other)
+
+    def __neg__(self) -> "RadicalSum":
+        return RadicalSum({d: -c for d, c in self.terms.items()})
+
+    def __mul__(self, other: "RadicalSum") -> "RadicalSum":
+        out: dict[int, Fraction] = {}
+        for e, c in other.terms.items():
+            _times_root(self.terms, c, e, out)
+        return RadicalSum(out)
+
+    def scale(self, q) -> "RadicalSum":
+        q = Fraction(q)
+        if not q:
+            return RadicalSum()
+        return RadicalSum({d: c * q for d, c in self.terms.items()})
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, RadicalSum) and self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def as_rational(self) -> Fraction | None:
+        if not self.terms:
+            return Fraction(0)
+        if set(self.terms) == {1}:
+            return self.terms[1]
+        return None
+
+    def __float__(self) -> float:
+        return float(sum(float(c) * math.sqrt(d) for d, c in self.terms.items()))
+
+    def __repr__(self) -> str:
+        if not self.terms:
+            return "0"
+        return " + ".join(f"{c}*sqrt({d})" for d, c in sorted(self.terms.items()))
+
+
 def collapse(x: RadicalSum) -> SqrtRational:
     """Exact conversion to a single SqrtRational; raises if >= 2 radical classes."""
     if not x.terms:
@@ -36,6 +116,31 @@ def collapse(x: RadicalSum) -> SqrtRational:
         raise ValueError(f"not a single radical class: {x.terms}")
     (d, c), = x.terms.items()
     return SqrtRational(_sign(c), c * c * d)
+
+
+def reduced_density_reference(k: KroneckerVector, party: int) -> list[list[Fraction]]:
+    """`kronstate.reduced_density` one coefficient pair at a time: each
+    product is a SqrtRational, factored into its class and added as a
+    RadicalSum."""
+    paths = standard_paths(k.lams[party])
+    index = {q: i for i, q in enumerate(paths)}
+    d = len(paths)
+    acc = [[RadicalSum.zero() for _ in range(d)] for _ in range(d)]
+    by_rest: dict[tuple, list[tuple[int, SqrtRational]]] = {}
+    for qt, v in k.coeffs.items():
+        rest = qt[:party] + qt[party + 1:]
+        by_rest.setdefault(rest, []).append((index[qt[party]], v))
+    for entries in by_rest.values():
+        for i, vi in entries:
+            for j, vj in entries:
+                acc[i][j] = acc[i][j] + RadicalSum.from_sqrt(vi * vj)
+    out = []
+    for row in acc:
+        vals = [x.as_rational() for x in row]
+        if any(v is None for v in vals):
+            raise ValueError("reduced density entry is not rational")
+        out.append(vals)
+    return out
 
 
 def squared_magnitudes(k: KroneckerVector) -> list[Fraction]:

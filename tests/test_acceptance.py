@@ -243,7 +243,7 @@ def test_criterion_08_louck_identities():
                     ok = ok and louck(lam, om, omp, th) == louck_bsum(lam, om, omp, th)
                     pairs += 1
         # orthogonality
-        from wkron.exact import RadicalSum
+        from oracles import RadicalSum
 
         for lam in lams:
             for lamp in lams:
@@ -295,7 +295,7 @@ def test_criterion_08_louck_identities():
                 ok = ok and acc.as_rational() == expect
     # representation expansion vs exact Schur conjugation
     from test_ghz import _d_matrix_from_schur
-    from wkron.exact import RadicalSum
+    from oracles import RadicalSum
 
     rng = random.Random(55)
     for n in range(1, 6):

@@ -5,8 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import collapse
-from wkron.exact import RadicalSum, SqrtRational, sym_eig
+from oracles import RadicalSum, collapse
+from wkron.exact import SqrtRational, sym_eig
 
 
 def sq(x):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    RadicalSum,
     hahn_eberlein_3f2,
     joint_weights,
     louck_bsum,
@@ -16,7 +17,7 @@ from oracles import (
     sector_cell,
     trace,
 )
-from wkron.exact import RadicalSum, SqrtRational
+from wkron.exact import SqrtRational
 from wkron.ghz import (
     JointWeight,
     gram,

@@ -5,14 +5,16 @@ from fractions import Fraction
 import pytest
 
 from oracles import (
+    RadicalSum,
     eta_sq_walk,
     norm_sq_per_coeff,
+    reduced_density_reference,
     rep_matrix,
     squared_magnitudes,
     table_json_per_entry,
 )
 from wkron import cli, kronstate, protocol
-from wkron.exact import InconsistencyError, RadicalSum, SqrtRational
+from wkron.exact import InconsistencyError, SqrtRational
 from wkron.kronstate import (
     KroneckerVector,
     eta,
@@ -109,6 +111,38 @@ def test_lemma1_float_path_large_sector():
     assert len(nk.coeffs) > 0
     for party in range(3):
         assert verify_lemma1(nk, party) == 0.0
+
+
+@pytest.mark.parametrize("num_parties, nmax", [(3, 7), (4, 5), (5, 4)])
+def test_reduced_density_equals_the_per_pair_reference(num_parties, nmax):
+    for n in range(1, nmax + 1):
+        for lams, kv in khat_all(num_parties, n).items():
+            nk = normalized(kv)
+            for party in range(num_parties):
+                assert reduced_density(nk, party) == reduced_density_reference(nk, party), (
+                    lams, party)
+
+
+def test_lemma1_exact_on_the_17862_entry_table():
+    lams = ptuple((6, 3), (6, 3), (6, 3))
+    nk = normalized(khat(3, 9, lams))
+    assert len(nk.coeffs) == 17862
+    eye = [[Fraction(1, 48) if i == j else Fraction(0) for j in range(48)] for i in range(48)]
+    for party in range(3):
+        assert reduced_density(nk, party) == eye, party
+
+
+def test_reduced_density_refuses_an_irrational_entry():
+    # two paths of party 0 over the same paths of parties 1 and 2, in the
+    # radical classes 2 and 3: rho_0[0][1] = sqrt(1/6) leaves Q
+    lams = ptuple((2, 1), (3, 0), (3, 0))
+    (a, b), r = standard_paths(lams[0]), (0, 0, 0)
+    kv = KroneckerVector(lams, {(a, r, r): sq("1/2"), (b, r, r): sq("1/3")})
+    for route in (reduced_density, reduced_density_reference):
+        with pytest.raises(ValueError, match="not rational"):
+            route(kv, 0)
+    # the other parties see one path each, and one rational entry
+    assert reduced_density(kv, 1) == [[Fraction(5, 6)]]
 
 
 def test_probability_identity_eta_sq_times_z():

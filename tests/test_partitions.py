@@ -51,7 +51,7 @@ def test_character_identity_class_is_dimension():
 def test_character_vs_rep_trace():
     # brute-force trace of the representation matrices, n <= 5
     from oracles import perm_from_cycle_type, rep_matrix
-    from wkron.exact import RadicalSum
+    from oracles import RadicalSum
 
     for n in range(2, 6):
         for lam in list_partitions(n):

@@ -8,11 +8,17 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import multilocal_schur_reference, sector_cell, stuple_of, tensor_power_reference
+from oracles import (
+    RadicalSum,
+    multilocal_schur_reference,
+    sector_cell,
+    stuple_of,
+    tensor_power_reference,
+)
 
 from wkron import ghz, protocol, schur
 from wkron.cli import main as cli_main
-from wkron.exact import RadicalSum, SqrtRational
+from wkron.exact import SqrtRational
 from wkron.kronstate import khat, normalized
 from wkron.partitions import ptuple, reduced_entropy, w_admissible
 from wkron.protocol import (
@@ -140,6 +146,17 @@ def test_mixed_radical_sector_norm_is_bad_input():
     with pytest.raises(ValueError, match=r"radical classes \[1, 2\]") as exc:
         sector_distribution(raw, 2)
     assert not isinstance(exc.value, InconsistencyError)
+
+
+@pytest.mark.parametrize("raw, norm", [([2, 0, 0, 0], 4), ([0, 0, 0, 0], 0)])
+def test_unnormalized_raw_list_is_bad_input(raw, norm, monkeypatch):
+    # refused before the tensor power is built, as bad input, not as a fault
+    monkeypatch.setattr(protocol, "tensor_power", None)
+    for call in (lambda: sector_distribution(raw, 2), lambda: sample_outcomes(raw, 2, 0, 3),
+                 lambda: sample_run(raw, 2, 0)):
+        with pytest.raises(ValueError, match=f"squared norm {norm}, not 1") as exc:
+            call()
+        assert not isinstance(exc.value, InconsistencyError)
 
 
 def test_mixed_radical_raw_ghz_list_keeps_rational_sectors():

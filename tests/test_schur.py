@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import (
+    RadicalSum,
     apply_perm,
     compose,
     path_is_valid,
@@ -14,7 +15,7 @@ from oracles import (
     rep_matrix,
     row_vector,
 )
-from wkron.exact import RadicalSum, SqrtRational
+from wkron.exact import SqrtRational
 from wkron.partitions import TwoRowPartition, list_partitions
 from wkron.schur import SchurBlock, SchurLabel, b_coeff, gamma, standard_paths
 
