@@ -3,9 +3,9 @@ Kronecker states, sector probabilities, SLOCC covariants, GHZ residual
 spectra, and a dense Schur-transform oracle that cross-validates everything.
 """
 
-from .covariants import base_form, theorem2_form, transvectant, verify_proportional
+from .covariants import base_form, theorem2_form
 from .exact import Rational, SqrtRational, sym_eig
-from .ghz import gram, hahn_eberlein, louck, overlap, schmidt_spectrum
+from .ghz import gram, overlap, schmidt_spectrum
 from .kronstate import KroneckerVector, eta, eta_sq, khat, normalized, verify_lemma1
 from .partitions import (
     PartitionTuple,
@@ -59,11 +59,7 @@ __all__ = [
     "normalized",
     "verify_lemma1",
     "base_form",
-    "transvectant",
     "theorem2_form",
-    "verify_proportional",
-    "hahn_eberlein",
-    "louck",
     "overlap",
     "gram",
     "schmidt_spectrum",

@@ -1,5 +1,5 @@
-"""Exact multihomogeneous polynomial algebra with the Omega process, for
-generating SLOCC covariants of W-class states and verifying their closed form.
+"""Exact multihomogeneous polynomial algebra for the SLOCC covariants of
+W-class states, and their closed form.
 
 Coefficients live in the ring Q[r_0..r_N]/(r_i^2 - c_i) where r_i stands for
 sqrt(c_i) and the c_i are the state's concrete rational weights.  Every
@@ -8,10 +8,12 @@ the marker content of a coefficient is determined by its monomial, so each
 coefficient is a single rational multiple of one marker monomial.  Sums that
 would mix marker monomials on one x-monomial cannot occur and raise.
 
-`theorem2_form` is the closed form `wkron covariant` prints.  The Omega
-process `transvectant` and `verify_proportional` check it, and demo 04 calls
-both.  The projective-coordinate transvectant, a second route to the Omega
-process, is a test oracle and lives with the tests.
+`theorem2_form` is the closed form `wkron covariant` prints, and the
+package's one route to a covariant.  The package holds no Omega process: the
+transvectants that generate the covariant ring, the proportionality test
+that checks them against `theorem2_form`, and the projective-coordinate
+transvectant that checks the Omega process are test oracles and live with
+the tests.
 """
 
 from __future__ import annotations
@@ -31,14 +33,6 @@ def _cmul(c: tuple[Fraction, ...], a: Coeff, b: Coeff) -> Coeff:
             f *= c[i]
         parity.append(pa ^ pb)
     return (f, tuple(parity))
-
-
-def _csquare(c: tuple[Fraction, ...], a: Coeff) -> Fraction:
-    f = a[0] * a[0]
-    for i, p in enumerate(a[1]):
-        if p:
-            f *= c[i]
-    return f
 
 
 @dataclass
@@ -78,10 +72,10 @@ class MultiPoly:
     @staticmethod
     def _add_term(terms: dict, key, coeff: Coeff):
         """terms[key] += coeff, the one accumulation rule of every product,
-        sum and Omega step: one marker class per key (else ValueError), and
-        a coefficient that sums to zero drops out.  A static method rather
-        than a module-level function, so a per-term call stays a plain call
-        when the module's functions are wrapped."""
+        sum and test-oracle Omega step: one marker class per key (else
+        ValueError), and a coefficient that sums to zero drops out.  A static
+        method rather than a module-level function, so a per-term call stays
+        a plain call when the module's functions are wrapped."""
         cur = terms.get(key)
         if cur is None:
             if coeff[0]:
@@ -174,43 +168,6 @@ def base_form(state) -> MultiPoly:
     return p
 
 
-def transvectant(f: MultiPoly, g: MultiPoly, orders) -> MultiPoly:
-    """Iterated Omega process: apply Omega_i orders[i] times to F(x)G(x') and
-    then set x' = x.  Vanishes naturally when an order exceeds a degree."""
-    f._compatible(g)
-    N = f.num_parties
-    if len(orders) != N:
-        raise ValueError("one transvection order per party required")
-    c, add = f.c, MultiPoly._add_term
-    # doubled-variable polynomial {(mF, mG): coeff}
-    pairs: dict[tuple[Monomial, Monomial], Coeff] = {}
-    for m1, c1 in f.terms.items():
-        for m2, c2 in g.terms.items():
-            pairs[(m1, m2)] = _cmul(c, c1, c2)
-    for i, li in enumerate(orders):
-        i0, i1 = 2 * i, 2 * i + 1
-        for _ in range(li):
-            nxt: dict[tuple[Monomial, Monomial], Coeff] = {}
-            for (m1, m2), coeff in pairs.items():
-                # d/dx0 d/dx1' term
-                if m1[i0] and m2[i1]:
-                    k1, k2 = list(m1), list(m2)
-                    k1[i0] -= 1
-                    k2[i1] -= 1
-                    add(nxt, (tuple(k1), tuple(k2)), (coeff[0] * m1[i0] * m2[i1], coeff[1]))
-                # - d/dx1 d/dx0' term
-                if m1[i1] and m2[i0]:
-                    k1, k2 = list(m1), list(m2)
-                    k1[i1] -= 1
-                    k2[i0] -= 1
-                    add(nxt, (tuple(k1), tuple(k2)), (-coeff[0] * m1[i1] * m2[i0], coeff[1]))
-            pairs = nxt
-    out = MultiPoly(N, c, f.psi_degree + g.psi_degree, {})
-    for (m1, m2), coeff in pairs.items():
-        add(out.terms, tuple(a + b for a, b in zip(m1, m2)), coeff)
-    return out
-
-
 def theorem2_form(state, n: int, nu) -> MultiPoly | None:
     """Closed form of the unique W-class covariant of multidegree (n, nu),
     or None when the multidegree vanishes by the parity/positivity conditions."""
@@ -247,26 +204,6 @@ def theorem2_form(state, n: int, nu) -> MultiPoly | None:
         mono[2 * i] = nu[i] - w
     head.terms[tuple(mono)] = (rat, tuple(marker))
     return head * base_form(state).power(w)
-
-
-def verify_proportional(f: MultiPoly, g: MultiPoly) -> Fraction | None:
-    """Exact proportionality test F = r*G; returns the squared ratio r^2 as a
-    rational, or None when the polynomials are not proportional."""
-    f._compatible(g)
-    if f.is_zero:
-        return Fraction(0)
-    if g.is_zero:
-        return None
-    if set(f.terms) != set(g.terms):
-        return None
-    m0 = next(iter(g.terms))
-    f0, g0 = f.terms[m0], g.terms[m0]
-    for m in f.terms:
-        lhs = _cmul(f.c, f.terms[m], g0)
-        rhs = _cmul(f.c, f0, g.terms[m])
-        if lhs != rhs:
-            return None
-    return _csquare(f.c, f0) / _csquare(f.c, g0)
 
 
 def format_poly(p: MultiPoly) -> str:

@@ -10,12 +10,12 @@ hypergeometric sum times a radical that depends on the weights only.  Each
 builds a single Fraction at the end; the Gram matrix computes each
 symmetric pair once.  Floats enter only at the eigendecomposition.
 
-`JointWeight`, `louck_diag` and `hahn_eberlein` stay public because the
-joint-weight counting route in `probw` reads them; `louck` is their
-off-diagonal form.  The joint-weight
-enumeration and multinomial that sum Louck values over every theta are test
-oracles and live with the tests.  `GramMatrix.float_matrix` and the float
-spectrum stay until the residual spectra are exact.
+`louck_diag`, the diagonal Louck value at one joint weight, stays for the
+joint-weight counting route in `probw`.  The Louck values of any weight
+pair, the 3F2 read at any x, and the joint-weight enumeration and
+multinomial that sum Louck values over every theta are test oracles and
+live with the tests.  `GramMatrix.float_matrix` and the float spectrum stay
+until the residual spectra are exact.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -33,57 +32,12 @@ from .partitions import PartitionTuple, TwoRowPartition, dim_irrep
 from .wstates import a_factor
 
 
-class JointWeight(NamedTuple):
-    """2x2 joint sequence weight: t_ij counts positions where (s_t, s'_t) = (i, j)."""
-
-    t00: int
-    t01: int
-    t10: int
-    t11: int
-
-    @property
-    def n(self) -> int:
-        return self.t00 + self.t01 + self.t10 + self.t11
-
-    @property
-    def x(self) -> int:
-        return self.t01
-
-    def weights(self) -> tuple[int, int]:
-        """(weight of s, weight of s')."""
-        return (self.t10 + self.t11, self.t01 + self.t11)
-
-    def transpose(self) -> "JointWeight":
-        return JointWeight(self.t00, self.t10, self.t01, self.t11)
-
-
-def hahn_eberlein(lam: TwoRowPartition, omega_lt: int, omega_gt: int, x: int) -> Fraction:
-    """Terminating 3F2(1) sum with upper parameters (-lambda2, -x,
-    lambda2 - n - 1) and lower parameters (-omega_lt, omega_gt - n); exact
-    rational M[x]/D from `_louck_numerators`.
-
-    Defined for lambda2 <= omega_lt <= omega_gt <= lambda1, where no zero
-    denominator is reached.  M is a polynomial of degree lambda2 in x, so an
-    x outside the tabulated joint-weight range is read off the table's
-    forward differences.
-    """
-    if not (lam.lambda2 <= omega_lt <= omega_gt <= lam.lambda1):
-        raise ValueError("parameters outside the terminating range")
-    m, d = _louck_numerators(lam, omega_lt, omega_gt)
-    if 0 <= x < len(m):
-        return Fraction(m[x], d)
-    total, binom, diffs = 0, 1, list(m)
-    for k in range(len(m)):
-        total += diffs[0] * binom
-        binom = binom * (x - k) // (k + 1)
-        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-    return Fraction(total, d)
-
-
 @lru_cache(maxsize=1024)
 def _louck_numerators(lam: TwoRowPartition, olt: int, ogt: int) -> tuple[tuple[int, ...], int]:
-    """Integers (M, D) with hahn_eberlein(lam, olt, ogt, x) == M[x]/D for
-    every joint-weight parameter x = t10 in 0..min(olt, n - ogt).
+    """Integers (M, D) with M[x]/D the terminating 3F2(1) sum with upper
+    parameters (-lambda2, -x, lambda2 - n - 1) and lower parameters (-olt,
+    ogt - n), for every joint-weight parameter x = t10 in 0..min(olt, n - ogt).
+    Defined for lambda2 <= olt <= ogt <= lambda1.
 
     D = prod_{j<lambda2} (j - olt)(ogt - n + j)(j + 1) clears the
     denominators of all 3F2 terms; it is nonzero because lambda2 <= olt and
@@ -120,30 +74,13 @@ def _radicand(lam: TwoRowPartition, olt: int, ogt: int) -> Fraction:
     return a_factor(lam, olt) / a_factor(lam, ogt)
 
 
-def louck(lam: TwoRowPartition, omega: int, omega_p: int, theta: JointWeight) -> SqrtRational:
-    """Louck polynomial value C(theta) for the weight pair (omega, omega_p).
-
-    Equal by definition to (1/f) sum_q B^{lam,omega,q}_s B^{lam,omega_p,q}_s'
-    over any sequence pair (s, s') of joint weight theta.
-    """
-    if theta.weights() != (omega, omega_p):
-        raise ValueError(f"{theta} incompatible with weights ({omega},{omega_p})")
-    if not (lam.lambda1 >= omega >= lam.lambda2 and lam.lambda1 >= omega_p >= lam.lambda2):
-        return SqrtRational.zero()
-    # canonicalize so the row index carries the lesser weight
-    th = theta if omega <= omega_p else theta.transpose()
-    olt, ogt = min(omega, omega_p), max(omega, omega_p)
-    q = _weight_pref(lam.size, olt, ogt) * hahn_eberlein(lam, olt, ogt, th.t10)
-    if q == 0:
-        return SqrtRational.zero()
-    return SqrtRational(1 if q > 0 else -1, q * q * _radicand(lam, olt, ogt))
-
-
 def louck_diag(lam: TwoRowPartition, omega: int, x: int) -> Fraction:
-    """Rational fast path for omega' = omega (the radical cancels)."""
+    """Louck value C(theta) for omega' = omega, where the radical cancels, at
+    the joint-weight parameter x = t10 in 0..min(omega, n - omega)."""
     if not (lam.lambda1 >= omega >= lam.lambda2):
         return Fraction(0)
-    return _weight_pref(lam.size, omega, omega) * hahn_eberlein(lam, omega, omega, x)
+    m, d = _louck_numerators(lam, omega, omega)
+    return _weight_pref(lam.size, omega, omega) * Fraction(m[x], d)
 
 
 def _overlap_parts(lams: PartitionTuple, omega: int, omega_p: int) -> tuple[Fraction, Fraction]:
@@ -201,6 +138,17 @@ def _xi_sq_numerators(alpha: Fraction, n: int, weights) -> tuple[list[int], int]
     return [p**om * (q - p) ** (n - om) for om in weights], q**n
 
 
+def _diagonal(lams: PartitionTuple, alpha: Fraction):
+    """(weights, xi, q_n, diag, p) of a GHZ sector: its common weights
+    max lambda2 .. min lambda1, their xi^2 numerators over q_n, the rational
+    diagonal overlaps <K_omega|K_omega> and the sector probability
+    p = sum_omega xi^2(omega) <K_omega|K_omega>."""
+    weights = list(range(max(lam.lambda2 for lam in lams), min(lam.lambda1 for lam in lams) + 1))
+    xi, q_n = _xi_sq_numerators(alpha, lams.n, weights)
+    diag = [_overlap_parts(lams, om, om)[0] for om in weights]
+    return weights, xi, q_n, diag, sum((x * v for x, v in zip(xi, diag)), Fraction(0)) / q_n
+
+
 @dataclass
 class GramMatrix:
     """Normalized overlap matrix of the GHZ sector vectors; symmetric,
@@ -216,10 +164,10 @@ class GramMatrix:
 def gram(lams: PartitionTuple, alpha, n: int) -> GramMatrix:
     """Gram matrix of the residual V-side state for GHZ(alpha)^(x)n.
 
-    The diagonal overlaps are rational; they give the normalizer and are
-    reused as the diagonal entries.  The overlap is symmetric in its two
-    weights, so each off-diagonal entry is computed once, for the upper
-    triangle, and shared with the lower one.
+    The diagonal overlaps are rational; they give the normalizer, which is
+    the sector probability, and are reused as the diagonal entries.  The
+    overlap is symmetric in its two weights, so each off-diagonal entry is
+    computed once, for the upper triangle, and shared with the lower one.
 
     Returns an empty matrix when the weight range is empty or the sector
     amplitude vanishes identically (degenerate case).
@@ -229,14 +177,7 @@ def gram(lams: PartitionTuple, alpha, n: int) -> GramMatrix:
         raise ValueError("alpha must lie strictly in (0,1)")
     if lams.n != n:
         raise ValueError("partition tuple size mismatch")
-    lo = max(lam.lambda2 for lam in lams)
-    hi = min(lam.lambda1 for lam in lams)
-    if lo > hi:
-        return GramMatrix([], [])
-    weights = list(range(lo, hi + 1))
-    diag = [_overlap_parts(lams, om, om)[0] for om in weights]
-    xi, q_n = _xi_sq_numerators(alpha, n, weights)
-    den = sum((x * v for x, v in zip(xi, diag)), Fraction(0)) / q_n
+    weights, xi, q_n, diag, den = _diagonal(lams, alpha)
     if den == 0:
         return GramMatrix([], [])
     inv_den = Fraction(1) / den
@@ -258,10 +199,7 @@ def schmidt_spectrum(g: GramMatrix) -> list[float]:
 def sector_probability(lams: PartitionTuple, alpha) -> Fraction:
     """Exact GHZ sector probability: sum over the weight range of
     xi^2(omega) <K_omega|K_omega>."""
-    weights = range(max(lam.lambda2 for lam in lams), min(lam.lambda1 for lam in lams) + 1)
-    xi, q_n = _xi_sq_numerators(Fraction(alpha), lams.n, weights)
-    total = sum((x * _overlap_parts(lams, om, om)[0] for x, om in zip(xi, weights)), Fraction(0))
-    return total / q_n
+    return _diagonal(lams, Fraction(alpha))[-1]
 
 
 def typical_partition(n: int) -> TwoRowPartition:

@@ -411,7 +411,7 @@ def from_table_json(d: dict) -> KroneckerVector:
     coeffs = {}
     for e in d["entries"]:
         qt = tuple(paths[i][ordinal - 1] for i, ordinal in enumerate(e["q"]))
-        coeffs[qt] = SqrtRational(int(e["sign"]), Fraction(int(e["num"]), int(e["den"])))
+        coeffs[qt] = SqrtRational.from_json(e)
     return KroneckerVector(lams, coeffs)
 
 

@@ -5,13 +5,14 @@ probability is p(psi, lams) = Z(psi, lams) * eta^2(lams): the fiducial norm
 `wstates.z_norms` times the Kronecker-state norm `kronstate.eta_sq_table`.
 That is the only route `p_w`, `p_psi` and `sector_probabilities` take.
 
-The joint-weight counting route (`p_w_counting` over `_z_count_cached`,
-with the constant-term identity `z_count_ct` as its own cross-check) is a
-second route to `p_w`, and no production route calls it.  It stays in the
-package, with the `ghz` names it reads (`JointWeight`, `louck_diag`), for
-two readers outside the tests: the benchmark reports its `probw.z_*`
-metrics from the `_z_count_cached` cache, and demo 02 calls `p_w_counting`.
-`z_count` and `z_count_ct` are not exported at the top level.
+The joint-weight counting route (`p_w_counting` over `_z_count_cached`
+and `_count_offdiag`, with `ghz.louck_diag`) is a second route to `p_w`,
+and no production route calls it.  Its core stays in the package for two
+readers outside the tests: the benchmark reports its `probw.z_*` metrics
+from the `_z_count_cached` cache, and demo 02 calls `p_w_counting`.  The
+wrappers that count one list of joint weights (`z_count`, and the
+constant-term identity `z_count_ct` that cross-checks it) are test oracles
+and live with the tests.
 """
 
 from __future__ import annotations
@@ -20,30 +21,12 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .ghz import JointWeight, louck_diag
+from .ghz import louck_diag
 from .kronstate import eta_sq_table
 from .partitions import PartitionTuple
 from .wstates import WClassState, _weight_tuples, w_normal_form, z_norms
 
 WeightTuple = tuple[int, ...]
-
-
-def _validate(thetas: list[JointWeight], omega: WeightTuple) -> tuple[int, tuple[int, ...]]:
-    if len(thetas) != len(omega):
-        raise ValueError("one joint weight per party required")
-    n = thetas[0].n
-    xs = []
-    for th, om in zip(thetas, omega):
-        if th.n != n:
-            raise ValueError("joint weights must share one total size")
-        if th.t01 != th.t10:
-            raise ValueError(f"{th}: W-sector joint weights need t01 == t10")
-        if th.t10 + th.t11 != om:
-            raise ValueError(f"{th} incompatible with weight {om}")
-        xs.append(th.t01)
-    if sum(omega) != n:
-        raise ValueError(f"weights must sum to n={n}, got {sum(omega)}")
-    return n, tuple(xs)
 
 
 def _count_offdiag(xs: tuple[int, ...]) -> Fraction:
@@ -91,61 +74,6 @@ def _z_count_cached(omega: WeightTuple, xs: tuple[int, ...], n: int) -> int:
     if z.denominator != 1:
         raise AssertionError(f"joint-sequence count not integral: {z}")
     return int(z)
-
-
-def z_count(thetas: list[JointWeight], omega: WeightTuple) -> int:
-    """Number of W-compatible joint sequence pairs with the given per-party
-    joint weights; direct count over the free tensor components."""
-    n, xs = _validate(thetas, omega)
-    return _z_count_cached(tuple(omega), xs, n)
-
-
-def z_count_ct(thetas: list[JointWeight], omega: WeightTuple) -> int:
-    """Constant-term route: coefficient extraction from an exact Laurent
-    polynomial; equals z_count on every input."""
-    n, xs = _validate(thetas, omega)
-    if any(x < 0 or om - x < 0 for om, x in zip(omega, xs)):
-        return 0
-    n_parties = len(omega)
-    # prod_i (sum_{k != i} z_k)^{x_i} expanded over integer exponent vectors
-    poly: dict[tuple[int, ...], int] = {(0,) * n_parties: 1}
-    for i, x in enumerate(xs):
-        factor: dict[tuple[int, ...], int] = {}
-        others = [k for k in range(n_parties) if k != i]
-
-        # multinomial expansion of (sum_others z_k)^x
-        def multi(pos, rem, expo):
-            if pos == len(others):
-                if rem == 0:
-                    w = math.factorial(x)
-                    for k in others:
-                        w //= math.factorial(expo[k])
-                    factor[tuple(expo)] = w
-                return
-            for v in range(rem + 1):
-                expo[others[pos]] = v
-                multi(pos + 1, rem - v, expo)
-            expo[others[pos]] = 0
-
-        multi(0, x, [0] * n_parties)
-        nxt: dict[tuple[int, ...], int] = {}
-        for e1, c1 in poly.items():
-            for e2, c2 in factor.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                nxt[key] = nxt.get(key, 0) + c1 * c2
-        poly = nxt
-    coeff = poly.get(tuple(xs), 0)
-    z = Fraction(coeff * math.factorial(n))
-    for om, x in zip(omega, xs):
-        z /= math.factorial(om - x) * math.factorial(x)
-    if z.denominator != 1:
-        raise AssertionError(f"constant-term count not integral: {z}")
-    return int(z)
-
-
-def theta_for(omega: int, x: int, n: int) -> JointWeight:
-    """W-sector joint weight with equal off-diagonal count x."""
-    return JointWeight(n - omega - x, x, x, omega - x)
 
 
 def p_w_counting(lams: PartitionTuple) -> Fraction:

@@ -43,9 +43,6 @@ class WClassState:
     def num_parties(self) -> int:
         return len(self.c) - 1
 
-    def __repr__(self) -> str:
-        return "WClassState(" + ",".join(str(x) for x in self.c) + ")"
-
 
 def w_normal_form(num_parties: int) -> WClassState:
     """The N-party W state: c0 = 0 and ci = 1/N.

@@ -11,10 +11,11 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
+from typing import NamedTuple
 
-from wkron.covariants import MultiPoly
+from wkron.covariants import Coeff, Monomial, MultiPoly, _cmul
 from wkron.exact import SqrtRational, _sign, _times_root
-from wkron.ghz import GramMatrix, JointWeight
+from wkron.ghz import GramMatrix, _louck_numerators, _radicand, _weight_pref
 from wkron.kronstate import KroneckerVector, _down_set, _predecessors
 from wkron.partitions import (
     PartitionTuple,
@@ -23,6 +24,7 @@ from wkron.partitions import (
     list_partitions,
     w_admissible,
 )
+from wkron.probw import WeightTuple, _z_count_cached
 from wkron.protocol import SectorBlock, _single_copy_amplitudes
 from wkron.schur import BitString, PathSeq, SchurBlock, SchurLabel, b_coeff, standard_paths
 from wkron.wstates import a_factor
@@ -357,6 +359,75 @@ def kron_coeff_young(t: PartitionTuple) -> int:
     return k
 
 
+# -- joint weights, Louck values and W-sector joint-sequence counts ----------
+
+
+class JointWeight(NamedTuple):
+    """2x2 joint sequence weight: t_ij counts positions where (s_t, s'_t) = (i, j)."""
+
+    t00: int
+    t01: int
+    t10: int
+    t11: int
+
+    @property
+    def n(self) -> int:
+        return self.t00 + self.t01 + self.t10 + self.t11
+
+    @property
+    def x(self) -> int:
+        return self.t01
+
+    def weights(self) -> tuple[int, int]:
+        """(weight of s, weight of s')."""
+        return (self.t10 + self.t11, self.t01 + self.t11)
+
+    def transpose(self) -> "JointWeight":
+        return JointWeight(self.t00, self.t10, self.t01, self.t11)
+
+
+def hahn_eberlein(lam: TwoRowPartition, omega_lt: int, omega_gt: int, x: int) -> Fraction:
+    """Terminating 3F2(1) sum with upper parameters (-lambda2, -x,
+    lambda2 - n - 1) and lower parameters (-omega_lt, omega_gt - n); exact
+    rational M[x]/D from `_louck_numerators`.
+
+    Defined for lambda2 <= omega_lt <= omega_gt <= lambda1, where no zero
+    denominator is reached.  M is a polynomial of degree lambda2 in x, so an
+    x outside the tabulated joint-weight range is read off the table's
+    forward differences.
+    """
+    if not (lam.lambda2 <= omega_lt <= omega_gt <= lam.lambda1):
+        raise ValueError("parameters outside the terminating range")
+    m, d = _louck_numerators(lam, omega_lt, omega_gt)
+    if 0 <= x < len(m):
+        return Fraction(m[x], d)
+    total, binom, diffs = 0, 1, list(m)
+    for k in range(len(m)):
+        total += diffs[0] * binom
+        binom = binom * (x - k) // (k + 1)
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    return Fraction(total, d)
+
+
+def louck(lam: TwoRowPartition, omega: int, omega_p: int, theta: JointWeight) -> SqrtRational:
+    """Louck polynomial value C(theta) for the weight pair (omega, omega_p).
+
+    Equal by definition to (1/f) sum_q B^{lam,omega,q}_s B^{lam,omega_p,q}_s'
+    over any sequence pair (s, s') of joint weight theta.
+    """
+    if theta.weights() != (omega, omega_p):
+        raise ValueError(f"{theta} incompatible with weights ({omega},{omega_p})")
+    if not (lam.lambda1 >= omega >= lam.lambda2 and lam.lambda1 >= omega_p >= lam.lambda2):
+        return SqrtRational.zero()
+    # canonicalize so the row index carries the lesser weight
+    th = theta if omega <= omega_p else theta.transpose()
+    olt, ogt = min(omega, omega_p), max(omega, omega_p)
+    q = _weight_pref(lam.size, olt, ogt) * hahn_eberlein(lam, olt, ogt, th.t10)
+    if q == 0:
+        return SqrtRational.zero()
+    return SqrtRational(1 if q > 0 else -1, q * q * _radicand(lam, olt, ogt))
+
+
 def joint_weights(n: int, omega: int, omega_p: int):
     """All joint weights compatible with sequence weights (omega, omega_p)."""
     for t11 in range(max(0, omega + omega_p - n), min(omega, omega_p) + 1):
@@ -433,6 +504,147 @@ def overlap_per_theta(lams: PartitionTuple, omega: int, omega_p: int) -> SqrtRat
     return SqrtRational(1 if q > 0 else -1, q * q * rad)
 
 
+def _validate(thetas: list[JointWeight], omega: WeightTuple) -> tuple[int, tuple[int, ...]]:
+    if len(thetas) != len(omega):
+        raise ValueError("one joint weight per party required")
+    n = thetas[0].n
+    xs = []
+    for th, om in zip(thetas, omega):
+        if th.n != n:
+            raise ValueError("joint weights must share one total size")
+        if th.t01 != th.t10:
+            raise ValueError(f"{th}: W-sector joint weights need t01 == t10")
+        if th.t10 + th.t11 != om:
+            raise ValueError(f"{th} incompatible with weight {om}")
+        xs.append(th.t01)
+    if sum(omega) != n:
+        raise ValueError(f"weights must sum to n={n}, got {sum(omega)}")
+    return n, tuple(xs)
+
+
+def z_count(thetas: list[JointWeight], omega: WeightTuple) -> int:
+    """Number of W-compatible joint sequence pairs with the given per-party
+    joint weights; direct count over the free tensor components."""
+    n, xs = _validate(thetas, omega)
+    return _z_count_cached(tuple(omega), xs, n)
+
+
+def z_count_ct(thetas: list[JointWeight], omega: WeightTuple) -> int:
+    """Constant-term route: coefficient extraction from an exact Laurent
+    polynomial; equals z_count on every input."""
+    n, xs = _validate(thetas, omega)
+    if any(x < 0 or om - x < 0 for om, x in zip(omega, xs)):
+        return 0
+    n_parties = len(omega)
+    # prod_i (sum_{k != i} z_k)^{x_i} expanded over integer exponent vectors
+    poly: dict[tuple[int, ...], int] = {(0,) * n_parties: 1}
+    for i, x in enumerate(xs):
+        factor: dict[tuple[int, ...], int] = {}
+        others = [k for k in range(n_parties) if k != i]
+
+        # multinomial expansion of (sum_others z_k)^x
+        def multi(pos, rem, expo):
+            if pos == len(others):
+                if rem == 0:
+                    w = math.factorial(x)
+                    for k in others:
+                        w //= math.factorial(expo[k])
+                    factor[tuple(expo)] = w
+                return
+            for v in range(rem + 1):
+                expo[others[pos]] = v
+                multi(pos + 1, rem - v, expo)
+            expo[others[pos]] = 0
+
+        multi(0, x, [0] * n_parties)
+        nxt: dict[tuple[int, ...], int] = {}
+        for e1, c1 in poly.items():
+            for e2, c2 in factor.items():
+                key = tuple(a + b for a, b in zip(e1, e2))
+                nxt[key] = nxt.get(key, 0) + c1 * c2
+        poly = nxt
+    coeff = poly.get(tuple(xs), 0)
+    z = Fraction(coeff * math.factorial(n))
+    for om, x in zip(omega, xs):
+        z /= math.factorial(om - x) * math.factorial(x)
+    if z.denominator != 1:
+        raise AssertionError(f"constant-term count not integral: {z}")
+    return int(z)
+
+
+def theta_for(omega: int, x: int, n: int) -> JointWeight:
+    """W-sector joint weight with equal off-diagonal count x."""
+    return JointWeight(n - omega - x, x, x, omega - x)
+
+
+# -- the Omega process -------------------------------------------------------
+
+
+def _csquare(c: tuple[Fraction, ...], a: Coeff) -> Fraction:
+    f = a[0] * a[0]
+    for i, p in enumerate(a[1]):
+        if p:
+            f *= c[i]
+    return f
+
+
+def transvectant(f: MultiPoly, g: MultiPoly, orders) -> MultiPoly:
+    """Iterated Omega process: apply Omega_i orders[i] times to F(x)G(x') and
+    then set x' = x.  Vanishes naturally when an order exceeds a degree."""
+    f._compatible(g)
+    N = f.num_parties
+    if len(orders) != N:
+        raise ValueError("one transvection order per party required")
+    c, add = f.c, MultiPoly._add_term
+    # doubled-variable polynomial {(mF, mG): coeff}
+    pairs: dict[tuple[Monomial, Monomial], Coeff] = {}
+    for m1, c1 in f.terms.items():
+        for m2, c2 in g.terms.items():
+            pairs[(m1, m2)] = _cmul(c, c1, c2)
+    for i, li in enumerate(orders):
+        i0, i1 = 2 * i, 2 * i + 1
+        for _ in range(li):
+            nxt: dict[tuple[Monomial, Monomial], Coeff] = {}
+            for (m1, m2), coeff in pairs.items():
+                # d/dx0 d/dx1' term
+                if m1[i0] and m2[i1]:
+                    k1, k2 = list(m1), list(m2)
+                    k1[i0] -= 1
+                    k2[i1] -= 1
+                    add(nxt, (tuple(k1), tuple(k2)), (coeff[0] * m1[i0] * m2[i1], coeff[1]))
+                # - d/dx1 d/dx0' term
+                if m1[i1] and m2[i0]:
+                    k1, k2 = list(m1), list(m2)
+                    k1[i1] -= 1
+                    k2[i0] -= 1
+                    add(nxt, (tuple(k1), tuple(k2)), (-coeff[0] * m1[i1] * m2[i0], coeff[1]))
+            pairs = nxt
+    out = MultiPoly(N, c, f.psi_degree + g.psi_degree, {})
+    for (m1, m2), coeff in pairs.items():
+        add(out.terms, tuple(a + b for a, b in zip(m1, m2)), coeff)
+    return out
+
+
+def verify_proportional(f: MultiPoly, g: MultiPoly) -> Fraction | None:
+    """Exact proportionality test F = r*G; returns the squared ratio r^2 as a
+    rational, or None when the polynomials are not proportional."""
+    f._compatible(g)
+    if f.is_zero:
+        return Fraction(0)
+    if g.is_zero:
+        return None
+    if set(f.terms) != set(g.terms):
+        return None
+    m0 = next(iter(g.terms))
+    f0, g0 = f.terms[m0], g.terms[m0]
+    for m in f.terms:
+        lhs = _cmul(f.c, f.terms[m], g0)
+        rhs = _cmul(f.c, f0, g.terms[m])
+        if lhs != rhs:
+            return None
+    return _csquare(f.c, f0) / _csquare(f.c, g0)
+
+
 def projective_transvectant(f: MultiPoly, g: MultiPoly, party: int, order: int) -> MultiPoly:
     """Single-party transvectant through the projective-coordinate formula,
     as an independent cross-check of the Omega route."""
@@ -481,6 +693,9 @@ def projective_transvectant(f: MultiPoly, g: MultiPoly, party: int, order: int) 
             raise ValueError("projective transvectant is not polynomial here")
         MultiPoly._add_term(fixed.terms, tuple(k), coeff)
     return fixed
+
+
+# -- the dense oracle and Kronecker tables, one entry at a time --------------
 
 
 def sector_cell(block, omega, qt) -> RadicalSum:

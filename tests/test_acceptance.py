@@ -11,13 +11,24 @@ from itertools import product
 
 import numpy as np
 
-from oracles import joint_weights, louck_bsum, multinomial_theta
+from oracles import (
+    JointWeight,
+    joint_weights,
+    louck,
+    louck_bsum,
+    multinomial_theta,
+    theta_for,
+    transvectant,
+    verify_proportional,
+    z_count,
+    z_count_ct,
+)
 from reference_tables import REFERENCE_TABLES, expand_orbits
-from wkron.covariants import base_form, theorem2_form, transvectant, verify_proportional
-from wkron.ghz import JointWeight, gram, louck, schmidt_spectrum
+from wkron.covariants import base_form, theorem2_form
+from wkron.ghz import gram, schmidt_spectrum
 from wkron.kronstate import eta, khat, khat_all, normalized, reduced_density, to_table_json
 from wkron.partitions import dim_irrep, kron_coeff, list_partitions, ptuple
-from wkron.probw import p_w, theta_for, z_count, z_count_ct
+from wkron.probw import p_w
 from wkron.protocol import (
     all_partition_tuples,
     multilocal_schur,

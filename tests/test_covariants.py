@@ -2,15 +2,8 @@ import random
 from fractions import Fraction
 from itertools import product
 
-from oracles import projective_transvectant
-from wkron.covariants import (
-    MultiPoly,
-    base_form,
-    format_poly,
-    theorem2_form,
-    transvectant,
-    verify_proportional,
-)
+from oracles import projective_transvectant, transvectant, verify_proportional
+from wkron.covariants import MultiPoly, base_form, format_poly, theorem2_form
 from wkron.wstates import WClassState, w_normal_form
 
 W3 = w_normal_form(3)

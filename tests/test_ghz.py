@@ -8,9 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    JointWeight,
     RadicalSum,
+    hahn_eberlein,
     hahn_eberlein_3f2,
     joint_weights,
+    louck,
     louck_bsum,
     multinomial_theta,
     overlap_per_theta,
@@ -19,10 +22,7 @@ from oracles import (
 )
 from wkron.exact import SqrtRational
 from wkron.ghz import (
-    JointWeight,
     gram,
-    hahn_eberlein,
-    louck,
     overlap,
     schmidt_spectrum,
     sector_probability,
@@ -233,6 +233,23 @@ def test_gram_rank1_sector():
 def test_gram_degenerate_all_singlet():
     g = gram(ptuple((1, 1), (1, 1), (1, 1)), Fraction(1, 3), 2)
     assert g.weights == []
+
+
+def test_gram_sector_with_one_common_weight():
+    # max lambda2 == min lambda1: the weight range holds one weight, and the
+    # Gram matrix is [[1]] rather than empty
+    from wkron.protocol import GHZState, multilocal_schur, tensor_power
+
+    alpha = Fraction(1, 3)
+    lams = ptuple((2, 2), (2, 2), (2, 2))
+    g = gram(lams, alpha, 4)
+    assert g.weights == [2]
+    assert g.exact == [[SqrtRational.one()]]
+    block = multilocal_schur(tensor_power(GHZState(alpha, 3), 4))[lams]
+    assert sector_probability(lams, alpha) == block.norm_sq() == Fraction(4, 243)
+    g = gram(ptuple((3, 3), (4, 2), (3, 3)), alpha, 6)
+    assert g.weights == [3]
+    assert g.exact == [[SqrtRational.one()]]
 
 
 def test_gram_42_cubed():

@@ -5,18 +5,10 @@ from itertools import product
 
 import pytest
 
-from wkron.ghz import JointWeight
+from oracles import JointWeight, theta_for, z_count, z_count_ct
 from wkron.kronstate import eta, khat_all
 from wkron.partitions import ptuple
-from wkron.probw import (
-    p_psi,
-    p_w,
-    p_w_counting,
-    sector_probabilities,
-    theta_for,
-    z_count,
-    z_count_ct,
-)
+from wkron.probw import p_psi, p_w, p_w_counting, sector_probabilities
 from wkron.protocol import all_partition_tuples, multilocal_schur, tensor_power
 from wkron.wstates import WClassState, w_normal_form, z_norm
 
