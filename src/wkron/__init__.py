@@ -23,8 +23,6 @@ from .protocol import (
     marginal_entropy,
     multilocal_schur,
     oracle_khat,
-    residual_schmidt,
-    sample_run,
     tensor_power,
     verify_report,
 )
@@ -68,9 +66,7 @@ __all__ = [
     "GHZState",
     "tensor_power",
     "multilocal_schur",
-    "residual_schmidt",
     "oracle_khat",
-    "sample_run",
     "marginal_entropy",
     "verify_report",
 ]

@@ -64,20 +64,35 @@ def _parse_state(spec: str, parties: int | None):
     return state
 
 
+# Bound on a sector's support, the product of its dimensions, for which
+# `wkron kron` builds the Kronecker vector.  Cost follows the product: the
+# whole `wkron kron` call took 14 s and 396 MB peak RSS for (9,3)^3 at n=12
+# (product 3.65M, 618k coefficients; khat alone 4.0 s and 214 MB) and 21 s
+# and 604 MB for (9,2)^4 at n=11 (3.75M), while khat alone took 12.8 s and
+# 646 MB for (8,4)^3 (20.8M), on a 2-core VM with Python 3.11.
+KRON_SUPPORT_CAP = 4_000_000
+# Bound on n for `wkron kron`, checked before any dimension is formed.  Past
+# it, stages outside the Kronecker coefficient run long even in a small
+# support: (400,0)^3 spent 3.3 s in Z and (299,1;299,1;300,0) 5.6 s in khat,
+# and the eta of (300,0)^10 has more digits than Python's 4300-digit
+# int-to-str limit lets JSON write ((48,0)^80 already stops there).
+KRON_N_CAP = 48
+
+
 def cmd_kron(args) -> int:
     lams = parse_partition_tuple(args.lam)
-    if lams.n > protocol.KRON_N_CAP:
+    if lams.n > KRON_N_CAP:
         raise ValueError(
-            f"sector {lams} has n = {lams.n}, over the cap of n <= {protocol.KRON_N_CAP}")
+            f"sector {lams} has n = {lams.n}, over the cap of n <= {KRON_N_CAP}")
     if args.parties is not None and args.parties != lams.num_parties:
         raise ValueError(
             f"--parties {args.parties} inconsistent with {lams.num_parties}-party lambda")
     if not w_admissible(lams):
         raise ValueError(f"inadmissible partition tuple {lams}")
     support = math.prod(kronstate.sector_dims(lams))
-    if support > protocol.KRON_SUPPORT_CAP:
+    if support > KRON_SUPPORT_CAP:
         raise ValueError(f"sector {lams} has support {support} (the product of its dimensions), "
-                         f"over the cap of {protocol.KRON_SUPPORT_CAP}")
+                         f"over the cap of {KRON_SUPPORT_CAP}")
     k = kron_coeff(lams)
     kv = kronstate.khat(lams.num_parties, lams.n, lams)
     if kv.is_zero:

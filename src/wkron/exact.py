@@ -13,7 +13,8 @@ B coefficients) and keeps one integer per class.  The private `_times_root`
 is the one rule for such sums: sqrt(d) * sqrt(e) = g * sqrt(d e / g^2) with
 g = gcd(d, e), so a product's class takes one gcd and no factoring.  The
 dense oracle (`protocol`) and `kronstate.reduced_density` read it.  `sym_eig`
-and the float matrices it reads stay until the GHZ spectra are exact.
+is the package's one use of numpy: `ghz.schmidt_spectrum` hands it a GHZ
+sector's Gram matrix as floats, and it stays until the GHZ spectra are exact.
 """
 
 from __future__ import annotations

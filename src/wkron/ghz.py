@@ -8,14 +8,14 @@ hypergeometric sum times a radical that depends on the weights only.  Each
 3F2 is kept as integer numerators M[x] over one common denominator D per
 (lambda, omega_lt, omega_gt), so an overlap sums integers over theta and
 builds a single Fraction at the end; the Gram matrix computes each
-symmetric pair once.  Floats enter only at the eigendecomposition.
+symmetric pair once.  Floats enter only at the eigendecomposition, where
+`schmidt_spectrum` hands the exact entries as floats to `exact.sym_eig`.
 
 `louck_diag`, the diagonal Louck value at one joint weight, stays for the
 joint-weight counting route in `probw`.  The Louck values of any weight
 pair, the 3F2 read at any x, and the joint-weight enumeration and
 multinomial that sum Louck values over every theta are test oracles and
-live with the tests.  `GramMatrix.float_matrix` and the float spectrum stay
-until the residual spectra are exact.
+live with the tests, as does the dense float route to residual spectra.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
 
 from .exact import SqrtRational, sym_eig
 from .partitions import PartitionTuple, TwoRowPartition, dim_irrep
@@ -157,9 +155,6 @@ class GramMatrix:
     weights: list[int]
     exact: list[list[SqrtRational]]
 
-    def float_matrix(self) -> np.ndarray:
-        return np.array([[float(x) for x in row] for row in self.exact])
-
 
 def gram(lams: PartitionTuple, alpha, n: int) -> GramMatrix:
     """Gram matrix of the residual V-side state for GHZ(alpha)^(x)n.
@@ -193,7 +188,7 @@ def gram(lams: PartitionTuple, alpha, n: int) -> GramMatrix:
 
 def schmidt_spectrum(g: GramMatrix) -> list[float]:
     """Eigenvalues of the Gram matrix, descending; they sum to 1."""
-    return sym_eig(g.float_matrix())
+    return sym_eig([[float(x) for x in row] for row in g.exact])
 
 
 def sector_probability(lams: PartitionTuple, alpha) -> Fraction:

@@ -1,8 +1,7 @@
-"""Dense brute-force oracle and protocol simulator.
+"""Dense exact oracle, exact sector distributions and seeded outcome sampling.
 
 Builds the n-fold tensor power of a state explicitly, applies the multilocal
-Schur transform party by party, projects sectors, extracts the residual
-Schmidt structure, and samples measurement outcomes.  The oracle is exact.
+Schur transform party by party and projects the sectors.  The oracle is exact.
 The tensor power holds each amplitude as integers (d, num, den), the value
 num/den * sqrt(d) with d squarefree; only the single-copy amplitudes are
 split by `SqrtRational.radical_parts`, and a product takes its class from the
@@ -21,9 +20,8 @@ with zero tolerance.  The order of the sectors and of their cells is not
 part of the contract; `sector_distribution` lists every state's rows, a raw
 amplitude list's included, in the order of `all_partition_tuples`, and
 seeded samples draw over that order.  The oracle is capped at EXACT_CAP
-qubits.  `sample_run`, `residual_schmidt` and `SectorBlock.float_matrix`
-read floats from the exact blocks; they stay until the residual spectra are
-exact.
+qubits.  The only float here is `marginal_entropy`, read from the closed-form
+eigenvalues of a 2x2 matrix.
 
 Bit layout (part of the contract): amplitude index is an (N*n)-bit integer,
 party-major, with party i's copy-k qubit at bit position i*n + k counted from
@@ -40,14 +38,12 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, product
 
-import numpy as np
-
 from . import ghz as ghzmod
 from . import probw
 from .exact import InconsistencyError, SqrtRational, _times_root
-from .kronstate import KroneckerVector, khat, normalized
+from .kronstate import KroneckerVector, khat
 from .partitions import PartitionTuple, list_partitions, w_admissible
-from .schur import party_columns, standard_paths
+from .schur import party_columns
 from .wstates import WClassState, phi_hat, w_normal_form
 
 EXACT_CAP = 18
@@ -167,9 +163,9 @@ def tensor_power(state, n: int) -> DenseState:
 
 @dataclass
 class SectorBlock:
-    """Nonzero cells of a sector's matrix over the (weight-tuple rows) x
-    (q-tuple columns) of `sector_grid`: cells[(omega, qt)] = {d: c} is
-    sum(c * sqrt(d)) / den over squarefree d, every c nonzero."""
+    """Nonzero cells of a sector's matrix, rows indexed by weight tuples
+    omega and columns by tuples qt of standard paths: cells[(omega, qt)] =
+    {d: c} is sum(c * sqrt(d)) / den over squarefree d, every c nonzero."""
 
     lams: PartitionTuple
     den: int
@@ -188,15 +184,6 @@ class SectorBlock:
                 f"(radical classes {sorted(total)})"
             )
         return Fraction(total.get(1, 0), self.den**2)
-
-    def float_matrix(self) -> np.ndarray:
-        weights, qlabels = sector_grid(self.lams)
-        m = np.zeros((len(weights), len(qlabels)))
-        for (om, qt), cell in self.cells.items():
-            # fsum: a cell's classes come in no fixed order
-            x = math.fsum(float(Fraction(c, self.den)) * math.sqrt(d) for d, c in cell.items())
-            m[weights.index(om), qlabels.index(qt)] = x
-        return m
 
 
 def multilocal_schur(state: DenseState) -> dict[PartitionTuple, SectorBlock]:
@@ -252,27 +239,6 @@ def _contract_party(groups: dict, i: int, cols) -> dict:
     return out
 
 
-def sector_grid(lams: PartitionTuple) -> tuple[list[WeightTuple], list[QTuple]]:
-    """Canonical row/column enumeration of a sector block: the full weight box
-    and the full product of lexicographic path lists, both row-major."""
-    weights = [
-        tuple(om)
-        for om in product(*(range(lam.lambda2, lam.lambda1 + 1) for lam in lams))
-    ]
-    qlabels = [tuple(qs) for qs in product(*(standard_paths(lam) for lam in lams))]
-    return weights, qlabels
-
-
-def residual_schmidt(block: SectorBlock) -> list[float]:
-    """Singular values of the sector matrix, normalized to unit square sum."""
-    m = block.float_matrix()
-    sv = np.linalg.svd(m, compute_uv=False)
-    total = float(np.sum(sv**2))
-    if total <= 0:
-        raise ValueError("zero sector block")
-    return [float(s) / math.sqrt(total) for s in sv]
-
-
 # verify_case asks for one (N, n) at a time, so one entry serves all its sectors
 @lru_cache(maxsize=1)
 def _w_sectors(num_parties: int, n: int):
@@ -293,7 +259,7 @@ def oracle_khat(lams: PartitionTuple, n: int) -> KroneckerVector:
         return KroneckerVector(lams, {})
     if not phi.coeffs:
         raise InconsistencyError(f"sector {lams} present but fiducial support empty")
-    ref = max(phi.coeffs, key=lambda om: abs(phi.coeffs[om].signed_square()))
+    ref = max(phi.coeffs, key=lambda om: phi.coeffs[om].square())
     # rank-1 check over the nonzero cells: each is phi_omega * ref cell / phi_ref
     # with a one-class ref cell; for phi_omega = p/q * sqrt(d), in integers,
     # cell * p_ref * q * sqrt(d_ref) == ref cell * p * q_ref * sqrt(d)
@@ -342,47 +308,28 @@ def sector_distribution(state, n: int) -> list[tuple[PartitionTuple, Fraction]]:
             for lams in all_partition_tuples(state.num_parties, n)
         ]
     elif isinstance(state, (list, tuple)):
-        out = _dense_sectors(state, n)[1]
+        out = _dense_sectors(state, n)
     else:
         raise TypeError("sector_distribution needs a WClassState, GHZState or amplitude list")
-    return _nonzero_normalized(out)
-
-
-def _dense_sectors(state, n: int):
-    """The dense oracle's sector blocks of state^(x)n and their rows (lams,
-    squared norm), in the order of `all_partition_tuples`.  A state whose
-    single copy does not have squared norm 1 is bad input, refused before
-    the tensor power is built."""
-    norm = sum(a.square() for a in _single_copy_amplitudes(state)[1].values())
-    if norm != 1:
-        raise ValueError(f"amplitudes have squared norm {norm}, not 1")
-    dense = tensor_power(state, n)
-    sectors = multilocal_schur(dense)
-    return sectors, [(lams, sectors[lams].norm_sq())
-                     for lams in all_partition_tuples(dense.num_parties, n) if lams in sectors]
-
-
-def _nonzero_normalized(rows) -> list[tuple[PartitionTuple, Fraction]]:
-    out = [(lams, p) for lams, p in rows if p > 0]
+    out = [(lams, p) for lams, p in out if p > 0]
     total = sum(p for _, p in out)
     if total != 1:
         raise InconsistencyError(f"sector probabilities sum to {total}, not 1")
     return out
 
 
-# Bound on a sector's support, the product of its dimensions, for which
-# `wkron kron` and sample_run build the Kronecker vector.  Cost follows the
-# product: the whole `wkron kron` call took 14 s and 396 MB peak RSS for
-# (9,3)^3 at n=12 (product 3.65M, 618k coefficients; khat alone 4.0 s and
-# 214 MB) and 21 s and 604 MB for (9,2)^4 at n=11 (3.75M), while khat alone
-# took 12.8 s and 646 MB for (8,4)^3 (20.8M), on a 2-core VM with Python 3.11.
-KRON_SUPPORT_CAP = 4_000_000
-# Bound on n for `wkron kron`, checked before any dimension is formed.  Past
-# it, stages outside the Kronecker coefficient run long even in a small
-# support: (400,0)^3 spent 3.3 s in Z and (299,1;299,1;300,0) 5.6 s in khat,
-# and the eta of (300,0)^10 has more digits than Python's 4300-digit
-# int-to-str limit lets JSON write ((48,0)^80 already stops there).
-KRON_N_CAP = 48
+def _dense_sectors(state, n: int):
+    """The dense oracle's rows (lams, squared norm) of state^(x)n, in the
+    order of `all_partition_tuples`.  A state whose single copy does not
+    have squared norm 1 is bad input, refused before the tensor power is
+    built."""
+    norm = sum(a.square() for a in _single_copy_amplitudes(state)[1].values())
+    if norm != 1:
+        raise ValueError(f"amplitudes have squared norm {norm}, not 1")
+    dense = tensor_power(state, n)
+    sectors = multilocal_schur(dense)
+    return [(lams, sectors[lams].norm_sq())
+            for lams in all_partition_tuples(dense.num_parties, n) if lams in sectors]
 
 
 def sample_outcomes(state, n: int, seed: int, count: int) -> list[PartitionTuple]:
@@ -395,10 +342,7 @@ def sample_outcomes(state, n: int, seed: int, count: int) -> list[PartitionTuple
     """
     if count < 0:
         raise ValueError(f"cannot draw {count} samples")
-    return _draw(sector_distribution(state, n), seed, count)
-
-
-def _draw(dist, seed: int, count: int) -> list[PartitionTuple]:
+    dist = sector_distribution(state, n)
     cdf = list(accumulate(p for _, p in dist))  # ends at exactly 1 > u
     rng = random.Random(seed)
     return [
@@ -407,52 +351,21 @@ def _draw(dist, seed: int, count: int) -> list[PartitionTuple]:
     ]
 
 
-def sample_run(state, n: int, seed: int) -> dict:
-    """One protocol run: measured sector plus the concentrated-state description.
-
-    The outcome is the first draw of `sample_outcomes(state, n, seed, 1)`; for a
-    raw amplitude list one dense oracle run gives both the distribution and the
-    measured block."""
-    if isinstance(state, (list, tuple)):
-        sectors, rows = _dense_sectors(state, n)
-        dist = _nonzero_normalized(rows)
-    else:
-        dist = sector_distribution(state, n)
-    lams = _draw(dist, seed, 1)[0]
-    desc: dict = {"outcome": lams}
-    if isinstance(state, WClassState):
-        from .kronstate import sector_dims
-
-        desc["kind"] = "w-kronecker"
-        dims = sector_dims(lams)
-        desc["dims"] = dims
-        if math.prod(dims) <= KRON_SUPPORT_CAP:
-            desc["kron"] = normalized(khat(state.num_parties, n, lams))
-        else:
-            desc["kron"] = None
-    elif isinstance(state, GHZState):
-        desc["kind"] = "ghz-residual"
-        g = ghzmod.gram(lams, state.alpha, n)
-        desc["gram_spectrum"] = ghzmod.schmidt_spectrum(g) if g.weights else []
-    else:
-        desc["kind"] = "residual-ensemble"
-        desc["schmidt"] = residual_schmidt(sectors[lams])
-    return desc
-
-
 def marginal_entropy(state, party: int) -> float:
     """Von Neumann entropy (bits) of one party's single-copy reduced state."""
     N, single = _single_copy_amplitudes(state)
     if not (0 <= party < N):
         raise ValueError("party index out of range")
-    rho = np.zeros((2, 2))
+    rho = [[0.0, 0.0], [0.0, 0.0]]
     items = list(single.items())
     for p1, a1 in items:
         for p2, a2 in items:
             if p1[:party] + p1[party + 1 :] == p2[:party] + p2[party + 1 :]:
-                rho[p1[party], p2[party]] += float(a1 * a2)
-    vals = np.linalg.eigvalsh(rho)
-    return float(-sum(v * math.log2(v) for v in vals if v > 1e-15))
+                rho[p1[party]][p2[party]] += float(a1 * a2)
+    # the eigenvalues of a real symmetric 2x2 matrix, the smaller first
+    mid = (rho[0][0] + rho[1][1]) / 2
+    r = math.hypot((rho[0][0] - rho[1][1]) / 2, rho[0][1])
+    return float(-sum(v * math.log2(v) for v in (mid - r, mid + r) if v > 1e-15))
 
 
 def verify_case(num_parties: int, n: int) -> dict:

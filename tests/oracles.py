@@ -10,8 +10,11 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from operator import mul
 from typing import NamedTuple
+
+import numpy as np
 
 from wkron.covariants import Coeff, Monomial, MultiPoly, _cmul
 from wkron.exact import SqrtRational, _sign, _times_root
@@ -25,7 +28,7 @@ from wkron.partitions import (
     w_admissible,
 )
 from wkron.probw import WeightTuple, _z_count_cached
-from wkron.protocol import SectorBlock, _single_copy_amplitudes
+from wkron.protocol import QTuple, SectorBlock, _single_copy_amplitudes
 from wkron.schur import BitString, PathSeq, SchurBlock, SchurLabel, b_coeff, standard_paths
 from wkron.wstates import a_factor
 
@@ -705,6 +708,41 @@ def sector_cell(block, omega, qt) -> RadicalSum:
         return RadicalSum.zero()
     cell = block.cells.get((omega, qt), {})
     return RadicalSum({d: Fraction(c, block.den) for d, c in cell.items()})
+
+
+def sector_grid(lams: PartitionTuple) -> tuple[list[WeightTuple], list[QTuple]]:
+    """Canonical row/column enumeration of a sector block: the full weight box
+    and the full product of lexicographic path lists, both row-major."""
+    weights = [
+        tuple(om)
+        for om in product(*(range(lam.lambda2, lam.lambda1 + 1) for lam in lams))
+    ]
+    qlabels = [tuple(qs) for qs in product(*(standard_paths(lam) for lam in lams))]
+    return weights, qlabels
+
+
+def float_matrix(block: SectorBlock) -> np.ndarray:
+    """A sector block as a dense float matrix over the rows and columns of
+    `sector_grid`."""
+    weights, qlabels = sector_grid(block.lams)
+    m = np.zeros((len(weights), len(qlabels)))
+    for (om, qt), cell in block.cells.items():
+        # fsum: a cell's classes come in no fixed order
+        x = math.fsum(float(Fraction(c, block.den)) * math.sqrt(d) for d, c in cell.items())
+        m[weights.index(om), qlabels.index(qt)] = x
+    return m
+
+
+def residual_schmidt(block: SectorBlock) -> list[float]:
+    """Singular values of the sector matrix, normalized to unit square sum;
+    their squares are the GHZ residual spectrum `ghz.schmidt_spectrum` reads
+    from the Gram matrix."""
+    m = float_matrix(block)
+    sv = np.linalg.svd(m, compute_uv=False)
+    total = float(np.sum(sv**2))
+    if total <= 0:
+        raise ValueError("zero sector block")
+    return [float(s) / math.sqrt(total) for s in sv]
 
 
 def table_json_per_entry(k: KroneckerVector) -> dict:

@@ -13,10 +13,12 @@ import numpy as np
 
 from oracles import (
     JointWeight,
+    float_matrix,
     joint_weights,
     louck,
     louck_bsum,
     multinomial_theta,
+    sector_grid,
     theta_for,
     transvectant,
     verify_proportional,
@@ -33,7 +35,6 @@ from wkron.protocol import (
     all_partition_tuples,
     multilocal_schur,
     sector_distribution,
-    sector_grid,
     tensor_power,
     verify_report,
 )
@@ -148,7 +149,7 @@ def test_criterion_05_wclass_universality():
         for n in (1, 2, 3, 4):
             sectors = multilocal_schur(tensor_power(state, n))
             for lams, block in sectors.items():
-                m = block.float_matrix()
+                m = float_matrix(block)
                 sv = np.linalg.svd(m, compute_uv=False)
                 if len(sv) > 1:
                     worst_sv = max(worst_sv, sv[1])

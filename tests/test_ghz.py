@@ -18,6 +18,7 @@ from oracles import (
     multinomial_theta,
     overlap_per_theta,
     sector_cell,
+    sector_grid,
     trace,
 )
 from wkron.exact import SqrtRational
@@ -288,7 +289,7 @@ def test_sector_probabilities_sum_to_one():
 
 
 def test_gram_matches_dense_oracle():
-    from wkron.protocol import GHZState, multilocal_schur, sector_grid, tensor_power
+    from wkron.protocol import GHZState, all_partition_tuples, multilocal_schur, tensor_power
 
     cases = [
         (alpha, parties, n)
@@ -298,9 +299,12 @@ def test_gram_matches_dense_oracle():
     ]
     for alpha, parties, n in cases:
         sectors = multilocal_schur(tensor_power(GHZState(alpha, parties), n))
-        for lams, block in sectors.items():
+        for lams in all_partition_tuples(parties, n):
             g = gram(lams, alpha, n)
-            if not g.weights:
+            block = sectors.get(lams)
+            # gram is nonempty exactly for the sectors the dense oracle lists
+            assert bool(g.weights) == (block is not None), (alpha, lams)
+            if block is None:
                 continue
             norm = block.norm_sq()
             weights, qlabels = sector_grid(lams)

@@ -10,8 +10,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import (
     RadicalSum,
+    float_matrix,
     multilocal_schur_reference,
+    residual_schmidt,
     sector_cell,
+    sector_grid,
     stuple_of,
     tensor_power_reference,
 )
@@ -29,11 +32,8 @@ from wkron.protocol import (
     marginal_entropy,
     multilocal_schur,
     oracle_khat,
-    residual_schmidt,
     sample_outcomes,
-    sample_run,
     sector_distribution,
-    sector_grid,
     tensor_power,
     verify_report,
 )
@@ -152,8 +152,7 @@ def test_mixed_radical_sector_norm_is_bad_input():
 def test_unnormalized_raw_list_is_bad_input(raw, norm, monkeypatch):
     # refused before the tensor power is built, as bad input, not as a fault
     monkeypatch.setattr(protocol, "tensor_power", None)
-    for call in (lambda: sector_distribution(raw, 2), lambda: sample_outcomes(raw, 2, 0, 3),
-                 lambda: sample_run(raw, 2, 0)):
+    for call in (lambda: sector_distribution(raw, 2), lambda: sample_outcomes(raw, 2, 0, 3)):
         with pytest.raises(ValueError, match=f"squared norm {norm}, not 1") as exc:
             call()
         assert not isinstance(exc.value, InconsistencyError)
@@ -573,7 +572,7 @@ def test_theorem1_universality_random_states():
         for n in (2, 3, 4):
             sectors = multilocal_schur(tensor_power(state, n))
             for lams, block in sectors.items():
-                m = block.float_matrix()
+                m = float_matrix(block)
                 sv = np.linalg.svd(m, compute_uv=False)
                 if len(sv) > 1:
                     assert sv[1] <= 1e-10 * max(1, sv[0])
@@ -590,16 +589,11 @@ def test_theorem1_universality_random_states():
                 assert cos >= 1 - 1e-10, (state, lams, cos)
 
 
-def test_sample_run_deterministic():
+def test_sample_outcomes_deterministic():
     w = w_normal_form(3)
     a = sample_outcomes(w, 2, seed=7, count=50)
     b = sample_outcomes(w, 2, seed=7, count=50)
     assert a == b
-    r1 = sample_run(w, 2, seed=123)
-    r2 = sample_run(w, 2, seed=123)
-    assert r1["outcome"] == r2["outcome"]
-    assert r1["kind"] == "w-kronecker"
-    assert r1["kron"] is not None
 
 
 @pytest.mark.parametrize(
@@ -657,46 +651,12 @@ def test_sample_product_state_always_top_sector():
     product = [SqrtRational.one()] + [SqrtRational.zero()] * 7
     outs = sample_outcomes(product, 3, seed=1, count=10)
     assert all(o == ptuple((3, 0), (3, 0), (3, 0)) for o in outs)
-    r = sample_run(product, 2, seed=0)
-    assert r["outcome"] == ptuple((2, 0), (2, 0), (2, 0))
-    assert r["kind"] == "residual-ensemble"
-    assert abs(r["schmidt"][0] - 1) < 1e-12
-
-
-def test_sample_run_raw_list_runs_the_oracle_once(monkeypatch):
-    raw = [Fraction(v, 5) for v in (3, -2, 2, 0, 0, 2, 0, -2)]
-    blocks = multilocal_schur(tensor_power(raw, 4))
-    calls = []
-
-    def counting(state):
-        calls.append(state.copies)
-        return multilocal_schur(state)
-
-    dist = sector_distribution(raw, 4)
-    monkeypatch.setattr(protocol, "multilocal_schur", counting)
-    for seed in (0, 2, 7, 20):
-        (lams,) = _linear_scan(dist, seed, 1)
-        calls.clear()
-        r = sample_run(raw, 4, seed)
-        assert calls == [4]
-        assert r["outcome"] == lams
-        assert r["kind"] == "residual-ensemble"
-        assert r["schmidt"] == residual_schmidt(blocks[lams])
-        assert abs(r["schmidt"][0] - 1) < 1e-12
-        assert sample_outcomes(raw, 4, seed, 1) == [lams]
 
 
 def test_marginal_entropy_product_is_zero():
     product = [SqrtRational.one()] + [SqrtRational.zero()] * 7
     for party in range(3):
         assert marginal_entropy(product, party) == 0.0
-
-
-def test_ghz_sample_run():
-    g = GHZState(Fraction(1, 3), 3)
-    r = sample_run(g, 4, seed=5)
-    assert r["kind"] == "ghz-residual"
-    assert "gram_spectrum" in r
 
 
 def test_marginal_entropy_examples():
@@ -708,6 +668,36 @@ def test_marginal_entropy_examples():
     product = WClassState((Fraction(0), Fraction(1, 2), Fraction(1, 2)))
     # two-qubit Bell state: marginal entropy 1 bit
     assert abs(marginal_entropy(product, 0) - 1.0) < 1e-12
+
+
+def _eigvalsh_entropy(raw, party: int) -> float:
+    """Entropy (bits) of one party's reduced state of a raw amplitude list,
+    from numpy's eigvalsh of M M^T, M the amplitudes with the party's qubit
+    as the row index."""
+    N = len(raw).bit_length() - 1
+    m = np.moveaxis(np.array([float(a) for a in raw]).reshape((2,) * N), party, 0).reshape(2, -1)
+    return float(-sum(v * math.log2(v) for v in np.linalg.eigvalsh(m @ m.T) if v > 1e-15))
+
+
+_QUARTERS = (Fraction(1, 4),) * 4
+_RAW_3 = [Fraction(v, 5) for v in (3, -2, 2, 0, 0, 2, 0, -2)]
+
+
+@pytest.mark.parametrize("state, raw", [(WClassState(_QUARTERS), _raw_w_list(_QUARTERS)),
+                                        (_RAW_3, _RAW_3)])
+def test_marginal_entropy_with_off_diagonal_rho(state, raw):
+    # every party's rho has a nonzero off-diagonal entry here
+    for party in range(3):
+        assert abs(marginal_entropy(state, party) - _eigvalsh_entropy(raw, party)) < 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(_w_class_case().filter(lambda case: case[0][0] > 0))
+def test_marginal_entropy_of_w_class_weights_equals_eigvalsh(case):
+    c = case[0]
+    for party in range(len(c) - 1):
+        got = marginal_entropy(WClassState(c), party)
+        assert abs(got - _eigvalsh_entropy(_raw_w_list(c), party)) < 1e-12
 
 
 def _yield_deviations(n: int) -> list[float]:
