@@ -130,7 +130,10 @@ def cmd_prob(args) -> int:
 
 
 def cmd_ghz_spectrum(args) -> int:
-    alpha = Fraction(args.alpha)
+    try:
+        alpha = Fraction(args.alpha)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"alpha {args.alpha!r} has a zero denominator") from exc
     ns = [int(tok) for tok in args.copies_list.split(",")]
     _write_csv(["n", "lambda", "rank_index", "gamma"], ghz.spectrum_rows(ns, alpha), args.out)
     return 0

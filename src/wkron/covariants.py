@@ -1,38 +1,29 @@
-"""Exact multihomogeneous polynomial algebra for the SLOCC covariants of
-W-class states, and their closed form.
+"""Multihomogeneous polynomials for the SLOCC covariants of W-class states,
+and their closed form.
 
 Coefficients live in the ring Q[r_0..r_N]/(r_i^2 - c_i) where r_i stands for
 sqrt(c_i) and the c_i are the state's concrete rational weights.  Every
 polynomial in the family generated from a W-class base form is parity graded:
 the marker content of a coefficient is determined by its monomial, so each
-coefficient is a single rational multiple of one marker monomial.  Sums that
-would mix marker monomials on one x-monomial cannot occur and raise.
+coefficient is a single rational multiple of one marker monomial.
 
 `theorem2_form` is the closed form `wkron covariant` prints, and the
-package's one route to a covariant.  The package holds no Omega process: the
-transvectants that generate the covariant ring, the proportionality test
-that checks them against `theorem2_form`, and the projective-coordinate
-transvectant that checks the Omega process are test oracles and live with
-the tests.
+package's one route to a covariant; it writes each term by the multinomial
+theorem, so the package multiplies no polynomials.  The polynomial ring
+(where a sum that would mix marker monomials on one x-monomial raises), the
+ring-product route to the closed form and the Omega process that checks it
+are test oracles and live with the tests.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 
 Monomial = tuple[int, ...]  # (x0^(1), x1^(1), ..., x0^(N), x1^(N)) exponents
 Coeff = tuple[Fraction, tuple[int, ...]]  # rational * prod_i sqrt(c_i)^parity_i
-
-
-def _cmul(c: tuple[Fraction, ...], a: Coeff, b: Coeff) -> Coeff:
-    f = a[0] * b[0]
-    parity = []
-    for i, (pa, pb) in enumerate(zip(a[1], b[1])):
-        if pa and pb:
-            f *= c[i]
-        parity.append(pa ^ pb)
-    return (f, tuple(parity))
 
 
 @dataclass
@@ -45,99 +36,9 @@ class MultiPoly:
     psi_degree: int
     terms: dict[Monomial, Coeff] = field(default_factory=dict)
 
-    # -- bookkeeping ---------------------------------------------------------
-
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def multidegree(self) -> tuple[int, ...] | None:
-        """Per-party x-degrees; None for the zero polynomial.  Raises if the
-        polynomial is not multihomogeneous."""
-        if not self.terms:
-            return None
-        degs = None
-        for m in self.terms:
-            d = tuple(m[2 * i] + m[2 * i + 1] for i in range(self.num_parties))
-            if degs is None:
-                degs = d
-            elif degs != d:
-                raise ValueError(f"not multihomogeneous: {degs} vs {d}")
-        return degs
-
-    def _compatible(self, other: "MultiPoly"):
-        if self.num_parties != other.num_parties or self.c != other.c:
-            raise ValueError("polynomials belong to different states")
-
-    @staticmethod
-    def _add_term(terms: dict, key, coeff: Coeff):
-        """terms[key] += coeff, the one accumulation rule of every product,
-        sum and test-oracle Omega step: one marker class per key (else
-        ValueError), and a coefficient that sums to zero drops out.  A static
-        method rather than a module-level function, so a per-term call stays
-        a plain call when the module's functions are wrapped."""
-        cur = terms.get(key)
-        if cur is None:
-            if coeff[0]:
-                terms[key] = coeff
-            return
-        if cur[1] != coeff[1]:
-            raise ValueError(f"marker classes collide on {key}: {cur[1]} vs {coeff[1]}")
-        f = cur[0] + coeff[0]
-        if f:
-            terms[key] = (f, cur[1])
-        else:
-            del terms[key]
-
-    # -- ring operations -----------------------------------------------------
-
-    def __add__(self, other: "MultiPoly") -> "MultiPoly":
-        self._compatible(other)
-        if self.psi_degree != other.psi_degree:
-            raise ValueError("cannot add polynomials of different state degree")
-        out = MultiPoly(self.num_parties, self.c, self.psi_degree, dict(self.terms))
-        for m, coeff in other.terms.items():
-            MultiPoly._add_term(out.terms, m, coeff)
-        return out
-
-    def __mul__(self, other: "MultiPoly") -> "MultiPoly":
-        self._compatible(other)
-        out = MultiPoly(
-            self.num_parties, self.c, self.psi_degree + other.psi_degree, {}
-        )
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                MultiPoly._add_term(out.terms, m, _cmul(self.c, c1, c2))
-        return out
-
-    def scale(self, q) -> "MultiPoly":
-        q = Fraction(q)
-        out = MultiPoly(self.num_parties, self.c, self.psi_degree, {})
-        if q:
-            out.terms = {m: (f * q, p) for m, (f, p) in self.terms.items()}
-        return out
-
-    def power(self, k: int) -> "MultiPoly":
-        out = poly_const(self.num_parties, self.c, Fraction(1), psi_degree=0)
-        for _ in range(k):
-            out = out * self
-        return out
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MultiPoly)
-            and self.c == other.c
-            and self.terms == other.terms
-        )
-
-
-def poly_const(num_parties: int, c, value, psi_degree: int = 0) -> MultiPoly:
-    p = MultiPoly(num_parties, tuple(Fraction(x) for x in c), psi_degree, {})
-    value = Fraction(value)
-    if value:
-        p.terms[(0,) * (2 * num_parties)] = (value, (0,) * len(p.c))
-    return p
 
 
 def _weights(state) -> tuple[Fraction, ...]:
@@ -168,11 +69,27 @@ def base_form(state) -> MultiPoly:
     return p
 
 
+# Bound on `theorem2_form`'s work: terms times about 30(N + 10) + d + d^2/600
+# steps of 25-40 ns for d digits of coefficient (per-party work, products,
+# quadratic gcd and int-to-str).  On a 2-core VM with Python 3.11 the largest
+# admitted `wkron covariant` of each shape took 1.5-2.8 s and <= 150 MB: W at
+# N = 2, n = 5707 (far below n = 14,300, where a coefficient passes the
+# 4300-digit int-to-str limit); N = 3, n = 430; N = 8, n = 14; N = 16, n = 6.
+COVARIANT_WORK_BUDGET = 80_000_000
+
+
 def theorem2_form(state, n: int, nu) -> MultiPoly | None:
     """Closed form of the unique W-class covariant of multidegree (n, nu),
-    or None when the multidegree vanishes by the parity/positivity conditions."""
-    weights = _weights(state)
-    N = len(weights) - 1
+    or None when the multidegree vanishes by the parity/positivity conditions.
+
+    An x0 monomial times (base form)^w, w = (sum(nu) - (N-2)n)/2: one term
+    per k on the parties with c_i > 0 (c_0 included), sum(k) = w, with
+    e_i = (n - nu_i)/2 + k_i (e_0 = k_0), coefficient
+    w!/prod(k_i!) * prod(c_i^floor(e_i/2)), marker prod(sqrt(c_i)^(e_i % 2))
+    and monomial prod(x0(i)^(nu_i - k_i) * x1(i)^k_i).  Raises ValueError,
+    before any term is built, when the work is over COVARIANT_WORK_BUDGET."""
+    c = _weights(state)
+    N = len(c) - 1
     nu = tuple(int(v) for v in nu)
     if len(nu) != N:
         raise ValueError("one x-degree per party required")
@@ -189,21 +106,41 @@ def theorem2_form(state, n: int, nu) -> MultiPoly | None:
     if any(v > n for v in nu):
         # would need negative powers of the weights; no such covariant
         return None
-    c = weights
-    marker = [0] * (N + 1)
-    rat = Fraction(1)
-    for i in range(N):
-        k = (n - nu[i]) // 2  # marker exponent of sqrt(c_(i+1))
-        if c[i + 1] == 0 and k > 0:
-            return MultiPoly(N, c, n, {})  # the formula itself is exactly zero
-        rat *= c[i + 1] ** (k // 2)
-        marker[i + 1] = k % 2
-    head = MultiPoly(N, c, n - w, {})
-    mono = [0] * (2 * N)
-    for i in range(N):
-        mono[2 * i] = nu[i] - w
-    head.terms[tuple(mono)] = (rat, tuple(marker))
-    return head * base_form(state).power(w)
+    h = (0, *((n - v) // 2 for v in nu))
+    support = [i for i, ci in enumerate(c) if ci]
+    if not support or any(hi and not ci for hi, ci in zip(h, c)):
+        return MultiPoly(N, c, n, {})  # the formula itself is exactly zero
+    L = len(support)
+    num_terms = math.comb(w + L - 1, L - 1)
+    # digits of one coefficient, at most: w*log10(L) for the multinomial, and
+    # sum(floor(e_i/2)) <= (sum(h) + w)/2 factors of a weight
+    try:
+        digits = math.ceil(1 + w * math.log10(L) + (sum(h) + w) / 2 * max(
+            math.log10(abs(c[i].numerator) * c[i].denominator) for i in support))
+    except OverflowError:  # n past a float's range is over any budget
+        digits = COVARIANT_WORK_BUDGET
+    work = num_terms * (30 * (N + 10) + digits + digits * digits // 600)
+    if work > COVARIANT_WORK_BUDGET:
+        raise ValueError(f"covariant ({n}, {nu}) needs about 10^{math.log10(work):.1f} steps "
+                         f"of work, over the budget of {COVARIANT_WORK_BUDGET:,}")
+    out = MultiPoly(N, c, n, {})
+    all_x0 = [e for v in nu for e in (v, 0)]
+    # stars and bars: L - 1 bars among w + L - 1 slots split w into k
+    for bars in combinations(range(w + L - 1), L - 1):
+        mono, parity = all_x0[:], [0] * (N + 1)
+        num, den, rest = 1, 1, w  # w!/prod(k_i!) as a product of binomials
+        for i, left, right in zip(support, (-1, *bars), (*bars, w + L - 1)):
+            k = right - left - 1
+            e = h[i] + k
+            num *= math.comb(rest, k) * c[i].numerator ** (e // 2)
+            den *= c[i].denominator ** (e // 2)
+            rest -= k
+            parity[i] = e % 2
+            if i:
+                mono[2 * i - 2] -= k
+                mono[2 * i - 1] = k
+        out.terms[tuple(mono)] = (Fraction(num, den), tuple(parity))
+    return out
 
 
 def format_poly(p: MultiPoly) -> str:

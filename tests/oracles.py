@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from wkron.covariants import Coeff, Monomial, MultiPoly, _cmul
+from wkron.covariants import Coeff, Monomial, MultiPoly, _weights, base_form
 from wkron.exact import SqrtRational, _sign, _times_root
 from wkron.ghz import GramMatrix, _louck_numerators, _radicand, _weight_pref
 from wkron.kronstate import KroneckerVector, _down_set, _predecessors
@@ -580,7 +580,122 @@ def theta_for(omega: int, x: int, n: int) -> JointWeight:
     return JointWeight(n - omega - x, x, x, omega - x)
 
 
-# -- the Omega process -------------------------------------------------------
+# -- the polynomial ring and the Omega process -------------------------------
+
+
+def cmul(c: tuple[Fraction, ...], a: Coeff, b: Coeff) -> Coeff:
+    """Product of two marker coefficients: sqrt(c_i)^2 = c_i."""
+    f = a[0] * b[0]
+    parity = []
+    for i, (pa, pb) in enumerate(zip(a[1], b[1])):
+        if pa and pb:
+            f *= c[i]
+        parity.append(pa ^ pb)
+    return (f, tuple(parity))
+
+
+def add_term(terms: dict, key, coeff: Coeff):
+    """terms[key] += coeff, the one accumulation rule of every product, sum
+    and Omega step: one marker class per key (else ValueError), and a
+    coefficient that sums to zero drops out."""
+    cur = terms.get(key)
+    if cur is None:
+        if coeff[0]:
+            terms[key] = coeff
+        return
+    if cur[1] != coeff[1]:
+        raise ValueError(f"marker classes collide on {key}: {cur[1]} vs {coeff[1]}")
+    f = cur[0] + coeff[0]
+    if f:
+        terms[key] = (f, cur[1])
+    else:
+        del terms[key]
+
+
+def compatible(f: MultiPoly, g: MultiPoly):
+    if f.num_parties != g.num_parties or f.c != g.c:
+        raise ValueError("polynomials belong to different states")
+
+
+def multidegree(p: MultiPoly) -> tuple[int, ...] | None:
+    """Per-party x-degrees; None for the zero polynomial.  Raises if the
+    polynomial is not multihomogeneous."""
+    if not p.terms:
+        return None
+    degs = None
+    for m in p.terms:
+        d = tuple(m[2 * i] + m[2 * i + 1] for i in range(p.num_parties))
+        if degs is None:
+            degs = d
+        elif degs != d:
+            raise ValueError(f"not multihomogeneous: {degs} vs {d}")
+    return degs
+
+
+def poly_add(f: MultiPoly, g: MultiPoly) -> MultiPoly:
+    compatible(f, g)
+    if f.psi_degree != g.psi_degree:
+        raise ValueError("cannot add polynomials of different state degree")
+    out = MultiPoly(f.num_parties, f.c, f.psi_degree, dict(f.terms))
+    for m, coeff in g.terms.items():
+        add_term(out.terms, m, coeff)
+    return out
+
+
+def poly_mul(f: MultiPoly, g: MultiPoly) -> MultiPoly:
+    compatible(f, g)
+    out = MultiPoly(f.num_parties, f.c, f.psi_degree + g.psi_degree, {})
+    for m1, c1 in f.terms.items():
+        for m2, c2 in g.terms.items():
+            m = tuple(a + b for a, b in zip(m1, m2))
+            add_term(out.terms, m, cmul(f.c, c1, c2))
+    return out
+
+
+def poly_scale(p: MultiPoly, q) -> MultiPoly:
+    q = Fraction(q)
+    out = MultiPoly(p.num_parties, p.c, p.psi_degree, {})
+    if q:
+        out.terms = {m: (f * q, par) for m, (f, par) in p.terms.items()}
+    return out
+
+
+def theorem2_by_products(state, n: int, nu) -> MultiPoly | None:
+    """`theorem2_form` by ring products: the head monomial times w factors of
+    the base form, with the same degree conditions."""
+    weights = _weights(state)
+    N = len(weights) - 1
+    nu = tuple(int(v) for v in nu)
+    if len(nu) != N:
+        raise ValueError("one x-degree per party required")
+    if n < 1 or min(nu) < 0:
+        raise ValueError(f"need n >= 1 and x-degrees >= 0, got n = {n}, nu = {nu}")
+    if any((v - n) % 2 for v in nu):
+        return None
+    w2 = sum(nu) - (N - 2) * n
+    if w2 < 0 or w2 % 2:
+        return None
+    w = w2 // 2
+    if any(v < w for v in nu) or any(v > n for v in nu):
+        return None
+    c = weights
+    marker = [0] * (N + 1)
+    rat = Fraction(1)
+    for i in range(N):
+        k = (n - nu[i]) // 2  # marker exponent of sqrt(c_(i+1))
+        if c[i + 1] == 0 and k > 0:
+            return MultiPoly(N, c, n, {})  # the formula itself is exactly zero
+        rat *= c[i + 1] ** (k // 2)
+        marker[i + 1] = k % 2
+    out = MultiPoly(N, c, n - w, {})
+    mono = [0] * (2 * N)
+    for i in range(N):
+        mono[2 * i] = nu[i] - w
+    out.terms[tuple(mono)] = (rat, tuple(marker))
+    a = base_form(state)
+    for _ in range(w):
+        out = poly_mul(out, a)
+    return out
 
 
 def _csquare(c: tuple[Fraction, ...], a: Coeff) -> Fraction:
@@ -594,16 +709,16 @@ def _csquare(c: tuple[Fraction, ...], a: Coeff) -> Fraction:
 def transvectant(f: MultiPoly, g: MultiPoly, orders) -> MultiPoly:
     """Iterated Omega process: apply Omega_i orders[i] times to F(x)G(x') and
     then set x' = x.  Vanishes naturally when an order exceeds a degree."""
-    f._compatible(g)
+    compatible(f, g)
     N = f.num_parties
     if len(orders) != N:
         raise ValueError("one transvection order per party required")
-    c, add = f.c, MultiPoly._add_term
+    c, add = f.c, add_term
     # doubled-variable polynomial {(mF, mG): coeff}
     pairs: dict[tuple[Monomial, Monomial], Coeff] = {}
     for m1, c1 in f.terms.items():
         for m2, c2 in g.terms.items():
-            pairs[(m1, m2)] = _cmul(c, c1, c2)
+            pairs[(m1, m2)] = cmul(c, c1, c2)
     for i, li in enumerate(orders):
         i0, i1 = 2 * i, 2 * i + 1
         for _ in range(li):
@@ -631,7 +746,7 @@ def transvectant(f: MultiPoly, g: MultiPoly, orders) -> MultiPoly:
 def verify_proportional(f: MultiPoly, g: MultiPoly) -> Fraction | None:
     """Exact proportionality test F = r*G; returns the squared ratio r^2 as a
     rational, or None when the polynomials are not proportional."""
-    f._compatible(g)
+    compatible(f, g)
     if f.is_zero:
         return Fraction(0)
     if g.is_zero:
@@ -641,8 +756,8 @@ def verify_proportional(f: MultiPoly, g: MultiPoly) -> Fraction | None:
     m0 = next(iter(g.terms))
     f0, g0 = f.terms[m0], g.terms[m0]
     for m in f.terms:
-        lhs = _cmul(f.c, f.terms[m], g0)
-        rhs = _cmul(f.c, f0, g.terms[m])
+        lhs = cmul(f.c, f.terms[m], g0)
+        rhs = cmul(f.c, f0, g.terms[m])
         if lhs != rhs:
             return None
     return _csquare(f.c, f0) / _csquare(f.c, g0)
@@ -651,8 +766,8 @@ def verify_proportional(f: MultiPoly, g: MultiPoly) -> Fraction | None:
 def projective_transvectant(f: MultiPoly, g: MultiPoly, party: int, order: int) -> MultiPoly:
     """Single-party transvectant through the projective-coordinate formula,
     as an independent cross-check of the Omega route."""
-    f._compatible(g)
-    fd, gd = f.multidegree(), g.multidegree()
+    compatible(f, g)
+    fd, gd = multidegree(f), multidegree(g)
     N = f.num_parties
     out = MultiPoly(N, f.c, f.psi_degree + g.psi_degree, {})
     if fd is None or gd is None:
@@ -672,7 +787,7 @@ def projective_transvectant(f: MultiPoly, g: MultiPoly, party: int, order: int) 
                     k = list(m)
                     k[2 * party + 1] -= 1
                     k[2 * party] += 1
-                    MultiPoly._add_term(nxt.terms, tuple(k), (coeff[0] * b, coeff[1]))
+                    add_term(nxt.terms, tuple(k), (coeff[0] * b, coeff[1]))
             cur = nxt
         return cur
 
@@ -685,8 +800,8 @@ def projective_transvectant(f: MultiPoly, g: MultiPoly, party: int, order: int) 
         )
         if coef == 0:
             continue
-        part = deriv_p(f, order - k) * deriv_p(g, k)
-        out = out + part.scale(coef)
+        part = poly_mul(deriv_p(f, order - k), deriv_p(g, k))
+        out = poly_add(out, poly_scale(part, coef))
     # re-homogenize from degree fi+gi down to fi+gi-2l in party's x0
     fixed = MultiPoly(N, f.c, out.psi_degree, {})
     for m, coeff in out.terms.items():
@@ -694,7 +809,7 @@ def projective_transvectant(f: MultiPoly, g: MultiPoly, party: int, order: int) 
         k[2 * party] -= 2 * order
         if k[2 * party] < 0:
             raise ValueError("projective transvectant is not polynomial here")
-        MultiPoly._add_term(fixed.terms, tuple(k), coeff)
+        add_term(fixed.terms, tuple(k), coeff)
     return fixed
 
 

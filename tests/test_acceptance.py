@@ -17,6 +17,7 @@ from oracles import (
     joint_weights,
     louck,
     louck_bsum,
+    multidegree,
     multinomial_theta,
     sector_grid,
     theta_for,
@@ -205,7 +206,7 @@ def test_criterion_07_covariant_closure():
                 for g in generation:
                     if f.psi_degree + g.psi_degree > 3:
                         continue
-                    fd, gd = f.multidegree(), g.multidegree()
+                    fd, gd = multidegree(f), multidegree(g)
                     for orders in product(
                         *(range(min(x, y) + 1) for x, y in zip(fd, gd))
                     ):

@@ -9,7 +9,7 @@ from itertools import product
 import pytest
 from oracles import kron_coeff_young
 
-from wkron import kronstate
+from wkron import covariants, kronstate
 from wkron.cli import main
 from wkron.kronstate import from_table_json
 from wkron.partitions import kron_coeff, ptuple
@@ -125,6 +125,7 @@ def test_kron_parties_mismatch_exit_2(capsys):
         (["prob", "--state", "1/0,1", "--copies", "2"], "zero denominator"),
         (["sample", "--state", "1/0,1,1", "--copies", "2"], "zero denominator"),
         (["prob", "--state", "ghz:1/0", "--copies", "2"], "zero denominator"),
+        (["ghz-spectrum", "--copies", "6", "--alpha", "1/0"], "zero denominator"),
         (["covariant", "--state", "ghz:1/3", "--copies", "2", "--nu", "2,2,2"], "not a GHZ state"),
         (["prob", "--state", "ghz:1/2", "--parties", "1", "--copies", "2"], "N >= 2 required"),
         (["prob", "--state", "ghz:1/2", "--parties", "-2", "--copies", "2"], "N >= 2 required"),
@@ -283,6 +284,33 @@ def test_covariant_refuses_negative_sizes(capsys, argv):
     assert err.startswith("bad input: ")
     code, out, _ = run(["covariant", "--copies", "3", "--nu", "1,1,1"], capsys)
     assert (code, out) == (0, "sqrt(c1*c2*c3)*x0(1)*x0(2)*x0(3)\n")
+
+
+@pytest.mark.parametrize("argv", [
+    # two-party W: one past the largest admitted n, and n = 10^9
+    "--parties 2 --copies 5708 --nu 5708,5708",
+    "--parties 2 --copies 1000000000 --nu 1000000000,1000000000",
+    # three-party W: 93,096 terms are admitted at n = 430, not 93,961 at 432
+    "--copies 432 --nu 432,432,432",
+    # an n past a float's range
+    f"--copies {10**400} --nu {10**400},{10**400},{10**400}",
+], ids=["N2-n5708", "N2-n1e9", "N3-n432", "N3-n1e400"])
+def test_covariant_refuses_work_over_the_budget_before_any_term(monkeypatch, capsys, argv):
+    def no_terms(*args):
+        raise AssertionError("a term was built before the budget check")
+
+    monkeypatch.setattr(covariants, "combinations", no_terms)
+    code, out, err = run(["covariant", *argv.split()], capsys)
+    assert (code, out) == (2, "")
+    assert f"steps of work, over the budget of {covariants.COVARIANT_WORK_BUDGET:,}" in err
+
+
+def test_covariant_admits_work_just_under_the_budget(capsys):
+    # the largest two-party W request the budget admits (a few seconds)
+    code, out, _ = run(["covariant", "--parties", "2", "--copies", "5707", "--nu", "5707,5707"],
+                       capsys)
+    assert code == 0
+    assert out.count(" + ") == 5707
 
 
 def test_verify_command(capsys):
