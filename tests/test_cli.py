@@ -125,10 +125,11 @@ def test_kron_parties_mismatch_exit_2(capsys):
         (["prob", "--state", "1/0,1", "--copies", "2"], "zero denominator"),
         (["sample", "--state", "1/0,1,1", "--copies", "2"], "zero denominator"),
         (["prob", "--state", "ghz:1/0", "--copies", "2"], "zero denominator"),
-        (["ghz-spectrum", "--copies", "6", "--alpha", "1/0"], "zero denominator"),
         (["covariant", "--state", "ghz:1/3", "--copies", "2", "--nu", "2,2,2"], "not a GHZ state"),
         (["prob", "--state", "ghz:1/2", "--parties", "1", "--copies", "2"], "N >= 2 required"),
         (["prob", "--state", "ghz:1/2", "--parties", "-2", "--copies", "2"], "N >= 2 required"),
+        # an exponent parameter that is not a number
+        (["ghz-spectrum", "--copies", "6", "--alpha", "1/0"], "zero denominator"),
     ],
 )
 def test_out_of_range_input_exit_2(capsys, argv, reason):
