@@ -4,7 +4,7 @@ spectra, and a dense Schur-transform oracle that cross-validates everything.
 """
 
 from .covariants import base_form, theorem2_form
-from .exact import Rational, SqrtRational, sym_eig
+from .exact import SqrtRational, sym_eig
 from .ghz import gram, overlap, schmidt_spectrum
 from .kronstate import KroneckerVector, eta, eta_sq, khat, normalized, verify_lemma1
 from .partitions import (
@@ -26,11 +26,10 @@ from .protocol import (
     tensor_power,
     verify_report,
 )
-from .schur import SchurBlock, b_coeff, gamma, standard_paths
+from .schur import standard_paths
 from .wstates import WClassState, a_factor, phi_hat, w_normal_form, z_norm
 
 __all__ = [
-    "Rational",
     "SqrtRational",
     "sym_eig",
     "PartitionTuple",
@@ -41,10 +40,7 @@ __all__ = [
     "parse_partition_tuple",
     "ptuple",
     "w_admissible",
-    "gamma",
     "standard_paths",
-    "b_coeff",
-    "SchurBlock",
     "WClassState",
     "w_normal_form",
     "a_factor",

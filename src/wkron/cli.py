@@ -2,7 +2,7 @@
 tables, and GHZ residual-spectrum data as JSON/CSV artifacts.
 
 Exit codes: 0 success, 1 internal inconsistency (oracle mismatch),
-2 bad input.
+2 bad input, an --out that cannot be written included.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import json
 import math
 import sys
 from fractions import Fraction
-from itertools import accumulate, islice
+from itertools import accumulate, chain, islice
 
 from . import covariants, ghz, kronstate, probw, protocol
 from .exact import InconsistencyError, SqrtRational
@@ -23,12 +23,16 @@ from .partitions import kron_coeff, parse_partition_tuple, w_admissible
 from .wstates import parse_w_state, w_normal_form
 
 
-def _write(text: str, out: str | None):
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _write(pieces, out: str | None):
+    """Write the text pieces to stdout, or to the file out.  A file that
+    cannot be opened or written is bad input, named with the system's reason."""
+    try:
+        with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
+            fh.writelines(pieces)
+    except OSError as exc:
+        if not out:
+            raise
+        raise ValueError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
 def _write_csv(header: list[str], rows, out: str | None):
@@ -36,7 +40,7 @@ def _write_csv(header: list[str], rows, out: str | None):
     writer = csv.writer(buf)
     writer.writerow(header)
     writer.writerows(rows)
-    _write(buf.getvalue(), out)
+    _write([buf.getvalue()], out)
 
 
 def _write_json(obj, out: str | None):
@@ -44,10 +48,7 @@ def _write_json(obj, out: str | None):
     goes out in pieces of a few thousand chunks, so a large table's text is
     never held whole."""
     chunks = json.JSONEncoder(indent=1).iterencode(obj)
-    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
-        while piece := "".join(islice(chunks, 4096)):
-            fh.write(piece)
-        fh.write("\n")
+    _write(chain(iter(lambda: "".join(islice(chunks, 4096)), ""), ["\n"]), out)
 
 
 def _parse_state(spec: str, parties: int | None):
@@ -145,10 +146,17 @@ def cmd_covariant(args) -> int:
         raise ValueError("covariant takes a W-class state, not a GHZ state")
     nu = tuple(int(tok) for tok in args.nu.split(","))
     poly = covariants.theorem2_form(state, args.copies, nu)
-    if poly is None:
-        _write("vanishes\n", args.out)
-    else:
-        _write(covariants.format_poly(poly) + "\n", args.out)
+    # the work budget has priced the coefficients' digits, so Python's
+    # int-to-str limit (none before 3.10.7) is lifted while they are formatted
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    try:
+        if limit:
+            sys.set_int_max_str_digits(0)
+        text = "vanishes" if poly is None else covariants.format_poly(poly)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+    _write([text, "\n"], args.out)
     return 0
 
 

@@ -15,6 +15,8 @@ g = gcd(d, e), so a product's class takes one gcd and no factoring.  The
 dense oracle (`protocol`) and `kronstate.reduced_density` read it.  `sym_eig`
 is the package's one use of numpy: `ghz.schmidt_spectrum` hands it a GHZ
 sector's Gram matrix as floats, and it stays until the GHZ spectra are exact.
+Tests read a value's rational form and signed square through functions of
+their own: the package never asks whether a SqrtRational is rational.
 """
 
 from __future__ import annotations
@@ -25,8 +27,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-
-Rational = Fraction
 
 
 class InconsistencyError(RuntimeError):
@@ -110,18 +110,6 @@ class SqrtRational:
 
     def square(self) -> Fraction:
         return self.radicand
-
-    def signed_square(self) -> Fraction:
-        """sign * radicand; convenient for tables printed with the root omitted."""
-        return self.sign * self.radicand
-
-    def as_rational(self) -> Fraction | None:
-        """Exact rational value if the radicand is a perfect square, else None."""
-        num, den = self.radicand.numerator, self.radicand.denominator
-        rn, rd = math.isqrt(num), math.isqrt(den)
-        if rn * rn == num and rd * rd == den:
-            return self.sign * Fraction(rn, rd)
-        return None
 
     def radical_parts(self) -> tuple[int, int, int]:
         """(d, num, den) with self == num/den * sqrt(d), d squarefree and den

@@ -5,45 +5,31 @@ Hamming weight of the computational strings the vector lives on
 (lambda1 >= omega >= lambda2), and q a binary path sequence recording which
 row received a box at each growth step (q_1 = 0).  The transformation
 coefficients B between the computational and Schur-Weyl bases satisfy a
-one-step recurrence through the 2x2 Clebsch-Gordan matrix `gamma`; the sign
-convention of that matrix is fixed once and for all here and nothing
-downstream is allowed to re-phase.
+one-step recurrence through the 2x2 Clebsch-Gordan matrix, one row of which
+`_gamma_row` gives in integers; the sign convention of that matrix is fixed
+once and for all here and nothing downstream is allowed to re-phase.
 
-`party_columns` is the one stored form of B, read by the dense oracle.
-`gamma`, `standard_paths`, `b_coeff`, `SchurLabel` and `SchurBlock` are the
-documented Schur-transform API.  The S_n representation matrices, the
-permutation helpers and the path validators that check the transform are
-test oracles and live with the tests.
+`party_columns` is the one stored form of B, read by the dense oracle, and
+`standard_paths` lists a sector's path sequences.  The Clebsch-Gordan matrix
+as SqrtRationals, B one entry at a time, the per-sector Schur blocks, the S_n
+representation matrices, the permutation helpers and the path validators
+that check the transform are test oracles and live with the tests.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
-from .exact import InconsistencyError, SqrtRational, _squarefree
+from .exact import InconsistencyError, _squarefree
 from .partitions import TwoRowPartition, list_partitions
 
 PathSeq = tuple[int, ...]
-BitString = tuple[int, ...]
 
 # party_columns(n) took 0.7-1.1 s and 77 MB peak RSS at n = 11 and 3.3-4.6 s and
 # 220 MB at n = 12 (fresh process, 2-core VM, Python 3.11.7); entries grow 3.7x
 # per n, so n = 14 would need about 3 GB.  The dense oracle stops at n = 9.
 SCHUR_SIZE_CAP = 12
-
-
-@dataclass(frozen=True)
-class SchurLabel:
-    lam: TwoRowPartition
-    omega: int
-    q: PathSeq
-
-    def __post_init__(self):
-        if not (self.lam.lambda1 >= self.omega >= self.lam.lambda2):
-            raise ValueError(f"weight {self.omega} outside [{self.lam.lambda2},{self.lam.lambda1}]")
 
 
 def _gamma_row(l1: int, l2: int, omega: int, qn: int) -> tuple[tuple[int, int], int]:
@@ -52,23 +38,6 @@ def _gamma_row(l1: int, l2: int, omega: int, qn: int) -> tuple[tuple[int, int], 
     if qn == 0:
         return (l1 - omega, omega - l2), l1 - l2
     return (omega - l2 + 1, -(l1 - omega + 1)), l1 - l2 + 2
-
-
-def _signed_root(a: int, b: int) -> SqrtRational:
-    """sign(a) * sqrt(|a| / b); zero when a == 0, whatever b is."""
-    return SqrtRational((a > 0) - (a < 0), Fraction(abs(a), b or 1))
-
-
-def gamma(lam: TwoRowPartition, omega: int):
-    """2x2 Clebsch-Gordan matrix; rows indexed by q_n, columns by s_n.
-
-    The first row is defined to be zero when lambda1 == lambda2.
-    """
-    l1, l2 = lam.lambda1, lam.lambda2
-    if not (l1 >= omega >= l2):
-        raise ValueError(f"weight {omega} outside [{l2},{l1}] for {lam}")
-    rows = (_gamma_row(l1, l2, omega, qn) for qn in (0, 1))
-    return [[_signed_root(a, b) for a in nums] for nums, b in rows]
 
 
 def standard_paths(lam: TwoRowPartition) -> list[PathSeq]:
@@ -144,47 +113,3 @@ def party_columns(n: int):
         split[s] = [(j, m * (D // den)) for j, m, den in col]
     return split, roots, D, labels
 
-
-def b_coeff(label: SchurLabel, s: BitString) -> SqrtRational:
-    """Transformation coefficient <s|lam,omega,q>, one gamma factor per copy
-    after the first; zero unless weight(s) == omega and q terminates at lam."""
-    if len(label.q) != len(s):
-        raise ValueError(f"sequence length {len(s)} != path length {len(label.q)}")
-    a, b, l1, l2, omega = 1, 1, 0, 0, 0
-    for k, (qk, sk) in enumerate(zip(label.q, s)):
-        l1, l2, omega = l1 + 1 - qk, l2 + qk, omega + sk
-        if not l1 >= omega >= l2:
-            return SqrtRational.zero()
-        if k:  # the first copy's factor is 1
-            (a0, a1), c = _gamma_row(l1, l2, omega, qk)
-            a, b = a * (a1 if sk else a0), b * c
-    if (l1, l2, omega) != (label.lam.lambda1, label.lam.lambda2, label.omega):
-        return SqrtRational.zero()
-    return _signed_root(a, b)
-
-
-class SchurBlock:
-    """Row-orthonormal block of B coefficients for one sector lam, a view of
-    `party_columns(n)`.  Rows are ordered by weight (ascending from lambda2
-    to lambda1) and, within a weight, by lexicographic path order; this
-    ordering is part of the serialization contract.
-    """
-
-    def __init__(self, lam: TwoRowPartition, n: int):
-        if lam.size != n:
-            raise ValueError(f"{lam} is not a partition of {n}")
-        cols, roots, D, labels = party_columns(n)
-        self.lam, self.n, self.paths = lam, n, standard_paths(lam)
-        weights = range(lam.lambda2, lam.lambda1 + 1)
-        self.rows = [SchurLabel(lam, om, q) for om in weights for q in self.paths]
-        col_of = {(lam, r.omega, r.q): {} for r in self.rows}
-        mine = {j: col_of[label] for j, label in enumerate(labels) if label in col_of}
-        for s, col in enumerate(cols):
-            bits = tuple((s >> (n - 1 - k)) & 1 for k in range(n))
-            for j, K in col:
-                if j in mine:
-                    mine[j][bits] = _signed_root(K * abs(K) * roots[j], D * D)
-        self._cols: list[dict[BitString, SqrtRational]] = list(col_of.values())
-
-    def items(self):
-        return zip(self.rows, self._cols)

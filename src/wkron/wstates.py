@@ -1,7 +1,8 @@
 """W-class normal-form states, the factorial weight factors, the fiducial
 (unnormalized) weight-side states of the sector decomposition, and their
 squared norm Z, which `z_norms` takes from polynomial products without
-building the states.
+building the states.  That is the one route to Z; summing a built state's
+squared coefficients is a test oracle.
 
 A W-class state is stored through its probability weights c^(0..N): the state
 is sqrt(c0)|0..0> + sum_i sqrt(ci)|1_i>.  Keeping the squares rational makes
@@ -74,9 +75,6 @@ class PhiState:
 
     lams: PartitionTuple
     coeffs: dict[WeightTuple, SqrtRational]
-
-    def norm_sq(self) -> Fraction:
-        return sum((v.square() for v in self.coeffs.values()), Fraction(0))
 
 
 def _weight_tuples(lams: PartitionTuple):

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -29,8 +30,8 @@ from wkron.partitions import (
 )
 from wkron.probw import WeightTuple, _z_count_cached
 from wkron.protocol import QTuple, SectorBlock, _single_copy_amplitudes
-from wkron.schur import BitString, PathSeq, SchurBlock, SchurLabel, b_coeff, standard_paths
-from wkron.wstates import a_factor
+from wkron.schur import PathSeq, _gamma_row, party_columns, standard_paths
+from wkron.wstates import PhiState, a_factor
 
 
 class RadicalSum:
@@ -123,6 +124,20 @@ def collapse(x: RadicalSum) -> SqrtRational:
     return SqrtRational(_sign(c), c * c * d)
 
 
+def as_rational(x: SqrtRational) -> Fraction | None:
+    """Exact rational value if the radicand is a perfect square, else None."""
+    num, den = x.radicand.numerator, x.radicand.denominator
+    rn, rd = math.isqrt(num), math.isqrt(den)
+    if rn * rn == num and rd * rd == den:
+        return x.sign * Fraction(rn, rd)
+    return None
+
+
+def signed_square(x: SqrtRational) -> Fraction:
+    """sign * radicand; convenient for tables printed with the root omitted."""
+    return x.sign * x.radicand
+
+
 def reduced_density_reference(k: KroneckerVector, party: int) -> list[list[Fraction]]:
     """`kronstate.reduced_density` one coefficient pair at a time: each
     product is a SqrtRational, factored into its class and added as a
@@ -153,12 +168,99 @@ def squared_magnitudes(k: KroneckerVector) -> list[Fraction]:
     return sorted(v.square() for v in k.coeffs.values())
 
 
+def phi_norm_sq(phi: PhiState) -> Fraction:
+    """Z as the sum of the built fiducial state's squared coefficients; the
+    package takes Z from `wstates.z_norms` without building the state."""
+    return sum((v.square() for v in phi.coeffs.values()), Fraction(0))
+
+
 def trace(g: GramMatrix) -> Fraction:
     """Exact trace of a Gram matrix, whose diagonal entries are rational."""
-    diag = [g.exact[i][i].as_rational() for i in range(len(g.weights))]
+    diag = [as_rational(g.exact[i][i]) for i in range(len(g.weights))]
     if None in diag:
         raise AssertionError("diagonal Gram entry is not rational")
     return sum(diag, Fraction(0))
+
+
+# -- the Schur transform one entry at a time ----------------------------------
+#
+# `schur.party_columns` is the package's one stored form of B; these read the
+# same gamma rows entry by entry, as SqrtRationals.
+
+BitString = tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class SchurLabel:
+    lam: TwoRowPartition
+    omega: int
+    q: PathSeq
+
+    def __post_init__(self):
+        if not (self.lam.lambda1 >= self.omega >= self.lam.lambda2):
+            raise ValueError(f"weight {self.omega} outside [{self.lam.lambda2},{self.lam.lambda1}]")
+
+
+def _signed_root(a: int, b: int) -> SqrtRational:
+    """sign(a) * sqrt(|a| / b); zero when a == 0, whatever b is."""
+    return SqrtRational((a > 0) - (a < 0), Fraction(abs(a), b or 1))
+
+
+def gamma(lam: TwoRowPartition, omega: int):
+    """2x2 Clebsch-Gordan matrix; rows indexed by q_n, columns by s_n.
+
+    The first row is defined to be zero when lambda1 == lambda2.
+    """
+    l1, l2 = lam.lambda1, lam.lambda2
+    if not (l1 >= omega >= l2):
+        raise ValueError(f"weight {omega} outside [{l2},{l1}] for {lam}")
+    rows = (_gamma_row(l1, l2, omega, qn) for qn in (0, 1))
+    return [[_signed_root(a, b) for a in nums] for nums, b in rows]
+
+
+def b_coeff(label: SchurLabel, s: BitString) -> SqrtRational:
+    """Transformation coefficient <s|lam,omega,q>, one gamma factor per copy
+    after the first; zero unless weight(s) == omega and q terminates at lam."""
+    if len(label.q) != len(s):
+        raise ValueError(f"sequence length {len(s)} != path length {len(label.q)}")
+    a, b, l1, l2, omega = 1, 1, 0, 0, 0
+    for k, (qk, sk) in enumerate(zip(label.q, s)):
+        l1, l2, omega = l1 + 1 - qk, l2 + qk, omega + sk
+        if not l1 >= omega >= l2:
+            return SqrtRational.zero()
+        if k:  # the first copy's factor is 1
+            (a0, a1), c = _gamma_row(l1, l2, omega, qk)
+            a, b = a * (a1 if sk else a0), b * c
+    if (l1, l2, omega) != (label.lam.lambda1, label.lam.lambda2, label.omega):
+        return SqrtRational.zero()
+    return _signed_root(a, b)
+
+
+class SchurBlock:
+    """Row-orthonormal block of B coefficients for one sector lam, a view of
+    `party_columns(n)`.  Rows are ordered by weight (ascending from lambda2
+    to lambda1) and, within a weight, by lexicographic path order; this
+    ordering is part of the serialization contract.
+    """
+
+    def __init__(self, lam: TwoRowPartition, n: int):
+        if lam.size != n:
+            raise ValueError(f"{lam} is not a partition of {n}")
+        cols, roots, D, labels = party_columns(n)
+        self.lam, self.n, self.paths = lam, n, standard_paths(lam)
+        weights = range(lam.lambda2, lam.lambda1 + 1)
+        self.rows = [SchurLabel(lam, om, q) for om in weights for q in self.paths]
+        col_of = {(lam, r.omega, r.q): {} for r in self.rows}
+        mine = {j: col_of[label] for j, label in enumerate(labels) if label in col_of}
+        for s, col in enumerate(cols):
+            bits = tuple((s >> (n - 1 - k)) & 1 for k in range(n))
+            for j, K in col:
+                if j in mine:
+                    mine[j][bits] = _signed_root(K * abs(K) * roots[j], D * D)
+        self._cols: list[dict[BitString, SqrtRational]] = list(col_of.values())
+
+    def items(self):
+        return zip(self.rows, self._cols)
 
 
 # -- paths, permutations and the S_n representation matrices -----------------

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import math
+import sys
 from fractions import Fraction
 from itertools import product
 
@@ -314,6 +315,34 @@ def test_covariant_admits_work_just_under_the_budget(capsys):
     assert out.count(" + ") == 5707
 
 
+@pytest.fixture
+def default_digit_limit():
+    """Python's default int-to-str digit limit for one test, restored after."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no int-to-str digit limit before Python 3.10.7")
+def test_covariant_formats_coefficients_past_the_digit_limit(capsys, default_digit_limit):
+    # one term (w = 0) whose coefficient 1/3^20000 has 9,543 digits; the work
+    # budget admits it, and the limit is lifted only while it is formatted
+    code, out, err = run(["covariant", "--copies", "40000", "--nu", "40000,0,0"], capsys)
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == default_digit_limit
+    sys.set_int_max_str_digits(0)
+    try:
+        assert out.split("*")[0] == f"1/{3**20000}"
+    finally:
+        sys.set_int_max_str_digits(default_digit_limit)
+    # a refusal leaves the limit as it found it too
+    code, out, _ = run(["covariant", "--copies", "432", "--nu", "432,432,432"], capsys)
+    assert (code, out) == (2, "")
+    assert sys.get_int_max_str_digits() == default_digit_limit
+
+
 def test_verify_command(capsys):
     code, out, _ = run(["verify", "--nmax3", "3", "--nmax4", "2"], capsys)
     assert code == 0
@@ -370,6 +399,23 @@ def test_stdout_matches_its_pinned_sha256(capsys, argv, digest):
     code, out, _ = run(argv.split(), capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [
+    ["kron", "--lambda", "2,1;2,1;2,1"],
+    ["prob", "--copies", "3"],
+    ["ghz-spectrum", "--copies", "6"],
+    ["covariant", "--copies", "3", "--nu", "1,1,1"],
+    ["sample", "--copies", "3", "--runs", "5"],
+    ["verify", "--nmax3", "2", "--nmax4", "0"],
+], ids=lambda argv: argv[0])
+def test_out_that_cannot_be_written_exits_2(capsys, tmp_path, argv):
+    # the file cannot be opened: bad input with the path and the reason, not
+    # a traceback and exit 1
+    out = tmp_path / "missing" / "out"
+    code, stdout, err = run([*argv, "--out", str(out)], capsys)
+    assert (code, stdout) == (2, "")
+    assert err == f"bad input: cannot write {out}: No such file or directory\n"
 
 
 def test_bad_flag_exits_2(capsys):

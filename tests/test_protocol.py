@@ -10,11 +10,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import (
     RadicalSum,
+    SchurLabel,
+    b_coeff,
     float_matrix,
     multilocal_schur_reference,
     residual_schmidt,
     sector_cell,
     sector_grid,
+    signed_square,
     stuple_of,
     tensor_power_reference,
 )
@@ -37,7 +40,6 @@ from wkron.protocol import (
     tensor_power,
     verify_report,
 )
-from wkron.schur import SchurLabel, b_coeff
 from wkron.wstates import WClassState, phi_hat, w_normal_form
 
 
@@ -389,7 +391,7 @@ def test_party_columns_one_radical_per_label():
             for j, label in by_weight[sum(bits)]:
                 # signed squares: K/D * sqrt(r) squares to K|K| r / D^2
                 K = got.pop(j, 0)
-                want = b_coeff(label, bits).signed_square()
+                want = signed_square(b_coeff(label, bits))
                 assert want == Fraction(K * abs(K) * roots[j], D * D), (n, bits, labels[j])
             assert not got  # no entry at a label of another weight
 

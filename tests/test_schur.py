@@ -6,8 +6,12 @@ import pytest
 
 from oracles import (
     RadicalSum,
+    SchurBlock,
+    SchurLabel,
     apply_perm,
+    b_coeff,
     compose,
+    gamma,
     path_is_valid,
     path_terminal,
     perm_cycle_type,
@@ -17,7 +21,7 @@ from oracles import (
 )
 from wkron.exact import SqrtRational
 from wkron.partitions import TwoRowPartition, list_partitions
-from wkron.schur import SchurBlock, SchurLabel, b_coeff, gamma, standard_paths
+from wkron.schur import standard_paths
 
 
 def sq(x):

@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+from oracles import phi_norm_sq
 from wkron.covariants import theorem2_form
 from wkron.exact import SqrtRational
 from wkron.partitions import (
@@ -98,7 +99,7 @@ def test_z_norm_equals_phi_hat_norm():
                 sectors = [PartitionTuple(c) for c in product(list_partitions(n), repeat=num_parties)]
                 zs = z_norms(state, sectors)
                 for lams, z in zip(sectors, zs):
-                    assert z == phi_hat(state, lams).norm_sq() == z_norm(state, lams), lams
+                    assert z == phi_norm_sq(phi_hat(state, lams)) == z_norm(state, lams), lams
 
 
 def test_z_norms_validates_input():
