@@ -22,7 +22,6 @@ from .protocol import (
     GHZState,
     marginal_entropy,
     multilocal_schur,
-    oracle_khat,
     tensor_power,
     verify_report,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "GHZState",
     "tensor_power",
     "multilocal_schur",
-    "oracle_khat",
     "marginal_entropy",
     "verify_report",
 ]

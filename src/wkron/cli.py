@@ -2,7 +2,8 @@
 tables, and GHZ residual-spectrum data as JSON/CSV artifacts.
 
 Exit codes: 0 success, 1 internal inconsistency (oracle mismatch),
-2 bad input, an --out that cannot be written included.
+2 bad input, an --out that cannot be written included, 141 a reader that
+closed stdout early.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from itertools import accumulate, chain, islice
@@ -82,6 +84,8 @@ KRON_N_CAP = 48
 
 def cmd_kron(args) -> int:
     lams = parse_partition_tuple(args.lam)
+    if lams.n < 1:
+        raise ValueError("n must be >= 1")
     if lams.n > KRON_N_CAP:
         raise ValueError(
             f"sector {lams} has n = {lams.n}, over the cap of n <= {KRON_N_CAP}")
@@ -228,6 +232,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # what is still buffered goes to devnull, so the interpreter's final
+        # flush prints nothing; 141 is what a shell reports for a writer
+        # that SIGPIPE ends
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except protocol.InconsistencyError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 1

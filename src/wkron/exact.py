@@ -30,8 +30,9 @@ import numpy as np
 
 
 class InconsistencyError(RuntimeError):
-    """A computed result contradicts a structural claim: a dense sector that
-    is not rank 1, or an exact recurrence whose division leaves a remainder."""
+    """A computed result contradicts a structural claim: a Schur label whose
+    coefficients span two radicals, or an exact recurrence whose division
+    leaves a remainder."""
 
 
 def _sign(x) -> int:

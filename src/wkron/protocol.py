@@ -14,12 +14,12 @@ term keeps its amplitude's class d beside its key, the terms of one key and
 class sum to c with no radical arithmetic, and c * sqrt(d) * prod_i
 sqrt(u_{j_i}) is split into a numerator and a class once per final cell.
 Every cell shares one denominator, the lcm of the amplitude denominators
-times D^N.  Sector blocks keep that form, nonzero cells only, so norms and
-the rank-1 check run in integers and the recurrence is checked against them
-with zero tolerance.  The order of the sectors and of their cells is not
-part of the contract; `sector_distribution` lists every state's rows, a raw
-amplitude list's included, in the order of `all_partition_tuples`, and
-seeded samples draw over that order.  The oracle is capped at EXACT_CAP
+times D^N.  Sector blocks keep that form, nonzero cells only, so norms run
+in integers, and `verify_case` compares every cell with phi_hat (x) khat in
+integers, with zero tolerance.  The order of the sectors and of their cells
+is not part of the contract; `sector_distribution` lists every state's rows,
+a raw amplitude list's included, in the order of `all_partition_tuples`,
+and seeded samples draw over that order.  The oracle is capped at EXACT_CAP
 qubits.  The only float here is `marginal_entropy`, read from the closed-form
 eigenvalues of a 2x2 matrix.
 
@@ -35,14 +35,13 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate, product
 
 from . import ghz as ghzmod
 from . import probw
 from .exact import InconsistencyError, SqrtRational, _times_root
-from .kronstate import KroneckerVector, khat
-from .partitions import PartitionTuple, list_partitions, w_admissible
+from .kronstate import khat
+from .partitions import PartitionTuple, list_partitions
 from .schur import party_columns
 from .wstates import WClassState, phi_hat, w_normal_form
 
@@ -239,50 +238,6 @@ def _contract_party(groups: dict, i: int, cols) -> dict:
     return out
 
 
-# verify_case asks for one (N, n) at a time, so one entry serves all its sectors
-@lru_cache(maxsize=1)
-def _w_sectors(num_parties: int, n: int):
-    return multilocal_schur(tensor_power(w_normal_form(num_parties), n))
-
-
-def oracle_khat(lams: PartitionTuple, n: int) -> KroneckerVector:
-    """Exact q-side factor of the rank-1 sector of W^(x)n, scaled so the
-    weight-side factor equals phi_hat(W).  Raises InconsistencyError when the
-    sector fails to factorize (which would falsify the rank-1 claim)."""
-    if lams.n != n:
-        raise ValueError("partition tuple size mismatch")
-    sector = _w_sectors(lams.num_parties, n).get(lams)
-    phi = phi_hat(w_normal_form(lams.num_parties), lams)
-    if sector is None:
-        if phi.coeffs and w_admissible(lams):
-            raise InconsistencyError(f"sector {lams} missing but fiducial support nonempty")
-        return KroneckerVector(lams, {})
-    if not phi.coeffs:
-        raise InconsistencyError(f"sector {lams} present but fiducial support empty")
-    ref = max(phi.coeffs, key=lambda om: phi.coeffs[om].square())
-    # rank-1 check over the nonzero cells: each is phi_omega * ref cell / phi_ref
-    # with a one-class ref cell; for phi_omega = p/q * sqrt(d), in integers,
-    # cell * p_ref * q * sqrt(d_ref) == ref cell * p * q_ref * sqrt(d)
-    parts = {om: v.radical_parts() for om, v in phi.coeffs.items()}
-    rd, rp, rq = parts[ref]
-    kvals = {}
-    for (om, qt), cell in sector.cells.items():
-        if om not in parts:
-            raise InconsistencyError(f"sector {lams}: weight {om} outside fiducial support")
-        d, p, q = parts[om]
-        ref_cell = sector.cells.get((ref, qt), {})
-        lhs, rhs = _times_root(cell, rp * q, rd, {}), _times_root(ref_cell, p * rq, d, {})
-        if len(ref_cell) != 1 or lhs != rhs:
-            raise InconsistencyError(f"sector {lams} does not factorize at weight {om}, q {qt}")
-        if om == ref:
-            ((e, c),) = cell.items()
-            v = SqrtRational.from_rational(Fraction(c, sector.den)) * SqrtRational.sqrt(e)
-            kvals[qt] = v / phi.coeffs[ref]
-    if len(sector.cells) != len(parts) * len(kvals):
-        raise InconsistencyError(f"sector {lams}: a cell of supp phi x supp khat is zero")
-    return KroneckerVector(lams, kvals)
-
-
 def all_partition_tuples(num_parties: int, n: int):
     for combo in product(list_partitions(n), repeat=num_parties):
         yield PartitionTuple(tuple(combo))
@@ -368,32 +323,38 @@ def marginal_entropy(state, party: int) -> float:
     return float(-sum(v * math.log2(v) for v in (mid - r, mid + r) if v > 1e-15))
 
 
-def verify_case(num_parties: int, n: int) -> dict:
-    """Exact oracle-vs-recurrence comparison of every sector at one (N, n)."""
-    entry = {
-        "N": num_parties,
-        "n": n,
-        "sectors": 0,
-        "mismatches": [],
-        "empty_checked": 0,
-    }
-    for lams in all_partition_tuples(num_parties, n):
-        kv = khat(num_parties, n, lams)
-        ov = oracle_khat(lams, n)
+def verify_case(state: WClassState, n: int) -> dict:
+    """Exact universality check of every sector of state^(x)n: the dense
+    block must equal phi_hat(state) (x) khat cell by cell.  With phi = p/q *
+    sqrt(d) and khat = r/s * sqrt(e), a cell c/den * sqrt(x) matches when,
+    in integers, c * q * s == p * r * g * den in the class x = d e / g^2,
+    g = gcd(d, e).  A sector whose block is not that product is a mismatch."""
+    N = state.num_parties
+    sectors = multilocal_schur(tensor_power(state, n))
+    entry = {"N": N, "n": n, "sectors": 0, "mismatches": [], "empty_checked": 0}
+    for lams in all_partition_tuples(N, n):
+        kv, phi = khat(N, n, lams), phi_hat(state, lams).coeffs
+        block = sectors.get(lams, SectorBlock(lams, 1, {}))
         if kv.is_zero:
             entry["empty_checked"] += 1
-            if ov.coeffs:
-                entry["mismatches"].append(
-                    {"lams": str(lams), "why": "recurrence empty, oracle nonzero"}
-                )
+            if block.cells or phi:
+                why = f"recurrence empty, {'oracle' if block.cells else 'fiducial'} nonzero"
+                entry["mismatches"].append({"lams": str(lams), "why": why})
             continue
         entry["sectors"] += 1
-        if kv.coeffs != ov.coeffs:
-            bad = [
-                str(qt)
-                for qt in set(kv.coeffs) | set(ov.coeffs)
-                if kv.coeffs.get(qt) != ov.coeffs.get(qt)
-            ]
+        # each value split once; khat shares its value objects, keyed by id
+        vals = kv.coeffs.values()
+        kparts = {i: v.radical_parts() for i, v in dict(zip(map(id, vals), vals)).items()}
+        phiparts = {om: v.radical_parts() for om, v in phi.items()}
+        bad = []
+        for (om, (d, p, q)), (qt, k) in product(phiparts.items(), kv.coeffs.items()):
+            e, r, s = kparts[id(k)]
+            got = {x: c * q * s for x, c in block.cells.get((om, qt), {}).items()}
+            if got != _times_root({d: p * block.den}, r, e, {}):
+                bad.append(str((om, qt)))
+        if len(block.cells) != len(phi) * len(kv.coeffs):
+            bad.append("a cell outside supp phi x supp khat")
+        if bad:
             entry["mismatches"].append({"lams": str(lams), "bad_keys": bad[:5]})
     return entry
 
@@ -413,6 +374,6 @@ def verify_report(cases=((3, 5), (4, 4))) -> dict:
             raise SizeCapError(
                 f"N={N}, n={nmax}: {N * nmax} qubits exceeds the {EXACT_CAP}-qubit dense cap"
             )
-    entries = [verify_case(N, n) for N, nmax in cases for n in range(1, nmax + 1)]
+    entries = [verify_case(w_normal_form(N), n) for N, nmax in cases for n in range(1, nmax + 1)]
     ok = all(not e["mismatches"] for e in entries)
     return {"ok": ok, "cases": entries}

@@ -3,9 +3,12 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from oracles import kron_coeff_young
@@ -131,6 +134,7 @@ def test_kron_parties_mismatch_exit_2(capsys):
         (["prob", "--state", "ghz:1/2", "--parties", "-2", "--copies", "2"], "N >= 2 required"),
         # an exponent parameter that is not a number
         (["ghz-spectrum", "--copies", "6", "--alpha", "1/0"], "zero denominator"),
+        (["kron", "--lambda", "0,0;0,0"], "n must be >= 1"),
     ],
 )
 def test_out_of_range_input_exit_2(capsys, argv, reason):
@@ -351,14 +355,30 @@ def test_verify_command(capsys):
     assert all(not c["mismatches"] for c in report["cases"])
 
 
-def test_verify_two_class_cell_exits_1(capsys, monkeypatch):
-    # a W sector cell spanning the radical classes 1 and 2 falsifies the rank-1
-    # claim wherever it sits, a one-row sector's reference row included: exit 1,
-    # not bad input
-    from wkron import protocol
+def test_closed_stdout_exits_141_without_a_traceback():
+    # the (6,3)^3 table is 1.7 MB, far more than a pipe holds, so the writer
+    # is still writing when the reader goes away after 10 bytes
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "wkron.cli", "kron", "--lambda", "6,3;6,3;6,3"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(timeout=60), err) == (141, b"")
 
-    real = protocol._w_sectors
-    sectors = real(3, 2)
+
+def test_verify_two_class_cell_exits_1(capsys, monkeypatch):
+    # a W sector cell spanning the radical classes 1 and 2 is not the product
+    # phi_hat (x) khat wherever it sits, a one-row sector's included: the
+    # report names the sector and verify exits 1, not bad input
+    from wkron import protocol
+    from wkron.wstates import w_normal_form
+
+    real = protocol.multilocal_schur
+    sectors = real(protocol.tensor_power(w_normal_form(3), 2))
     for lams, block in sectors.items():
         for key, cell in block.cells.items():
             ((d, c),) = cell.items()
@@ -366,12 +386,14 @@ def test_verify_two_class_cell_exits_1(capsys, monkeypatch):
             cells = {**block.cells, key: {1: c, 2: c}}
             fake = {**sectors, lams: protocol.SectorBlock(lams, block.den, cells)}
             monkeypatch.setattr(
-                protocol, "_w_sectors",
-                lambda N, n, fake=fake: fake if (N, n) == (3, 2) else real(N, n),
+                protocol, "multilocal_schur",
+                lambda dense, fake=fake: fake if (dense.num_parties, dense.copies) == (3, 2)
+                else real(dense),
             )
-            code, _, err = run(["verify", "--nmax3", "2", "--nmax4", "0"], capsys)
-            assert code == 1, (lams, key, err)
-            assert "internal inconsistency" in err
+            code, out, _ = run(["verify", "--nmax3", "2", "--nmax4", "0"], capsys)
+            assert code == 1, (lams, key)
+            (case,) = [c for c in json.loads(out)["cases"] if c["mismatches"]]
+            assert [m["lams"] for m in case["mismatches"]] == [str(lams)]
 
 
 @pytest.mark.parametrize(

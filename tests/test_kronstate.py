@@ -382,7 +382,7 @@ def test_an_error_in_the_step_rule_fails_every_independent_route(monkeypatch, ca
     try:
         with monkeypatch.context() as mp:
             mp.setattr(kronstate, "_boxes", corrupted)
-            assert protocol.verify_case(3, 4)["mismatches"]
+            assert protocol.verify_case(w_normal_form(3), 4)["mismatches"]
             assert cli.main(["kron", "--lambda", "2,1;2,1;2,1"]) == 1
             assert "by the stencil" in capsys.readouterr().err
             lams = ptuple((3, 1), (3, 1), (3, 1))

@@ -12,7 +12,6 @@ from oracles import (
     RadicalSum,
     SchurLabel,
     b_coeff,
-    float_matrix,
     multilocal_schur_reference,
     residual_schmidt,
     sector_cell,
@@ -25,7 +24,7 @@ from oracles import (
 from wkron import ghz, protocol, schur
 from wkron.cli import main as cli_main
 from wkron.exact import SqrtRational
-from wkron.kronstate import khat, normalized
+from wkron.kronstate import KroneckerVector, khat
 from wkron.partitions import ptuple, reduced_entropy, w_admissible
 from wkron.protocol import (
     GHZState,
@@ -34,10 +33,10 @@ from wkron.protocol import (
     all_partition_tuples,
     marginal_entropy,
     multilocal_schur,
-    oracle_khat,
     sample_outcomes,
     sector_distribution,
     tensor_power,
+    verify_case,
     verify_report,
 )
 from wkron.wstates import WClassState, phi_hat, w_normal_form
@@ -409,7 +408,6 @@ def test_party_columns_rejects_a_label_spanning_two_radicals(monkeypatch, capsys
         return (a0, a1), b
 
     schur.party_columns.cache_clear()
-    protocol._w_sectors.cache_clear()
     monkeypatch.setattr(schur, "_gamma_row", one_factor_times_sqrt2)
     try:
         with pytest.raises(InconsistencyError, match="spans radicals"):
@@ -418,7 +416,6 @@ def test_party_columns_rejects_a_label_spanning_two_radicals(monkeypatch, capsys
         assert "internal inconsistency" in capsys.readouterr().err
     finally:
         schur.party_columns.cache_clear()
-        protocol._w_sectors.cache_clear()
 
 
 def test_party_columns_cache_is_bounded():
@@ -465,12 +462,14 @@ def test_residual_schmidt_ghz_sector_rank1():
 
 
 def test_oracle_khat_examples():
-    kv = oracle_khat(ptuple((2, 0), (2, 0), (2, 0)), 2)
-    assert kv.coeffs == {((0, 0),) * 3: sq("1/2")}
-    kv = oracle_khat(ptuple((2, 1), (2, 1), (2, 1)), 3)
+    # the hand values of the k-hat factor that the dense oracle must find
+    assert khat(3, 2, ptuple((2, 0), (2, 0), (2, 0))).coeffs == {((0, 0),) * 3: sq("1/2")}
+    kv = khat(3, 3, ptuple((2, 1), (2, 1), (2, 1)))
     mags = sorted(v.square() for v in kv.coeffs.values())
     assert mags == [Fraction(2, 3)] * 4
-    assert oracle_khat(ptuple((1, 1), (1, 1), (1, 1)), 2).is_zero
+    assert khat(3, 2, ptuple((1, 1), (1, 1), (1, 1))).is_zero
+    for n in (2, 3):
+        assert not verify_case(w_normal_form(3), n)["mismatches"]
 
 
 # 18 nonzero cells: |supp phi| = 6 rows of 45 and |supp khat| = 3 columns of 9,
@@ -478,30 +477,45 @@ def test_oracle_khat_examples():
 _MUTATED = ptuple((3, 1), (3, 1), (4, 0))
 
 
-def _patch_w_sectors(monkeypatch, lams, n, edit):
-    """Let oracle_khat read the W sector `lams` at n with its cells changed by
-    edit(cells); the cached blocks stay as they are."""
-    real = protocol._w_sectors
-    sectors = real(lams.num_parties, n)
-    cells = {key: dict(cell) for key, cell in sectors[lams].cells.items()}
+def _patch_sectors(monkeypatch, lams, n, edit, state=None):
+    """Let verify_case read the sector `lams` of state^(x)n (W by default)
+    with its cells changed by edit(cells), an absent block read as no cells."""
+    state = state or w_normal_form(lams.num_parties)
+    real = protocol.multilocal_schur
+    sectors = real(tensor_power(state, n))
+    block = sectors.get(lams, protocol.SectorBlock(lams, 1, {}))
+    cells = {key: dict(cell) for key, cell in block.cells.items()}
     edit(cells)
-    fake = {**sectors, lams: protocol.SectorBlock(lams, sectors[lams].den, cells)}
+    fake = {**sectors, lams: protocol.SectorBlock(lams, block.den, cells)}
     monkeypatch.setattr(
-        protocol, "_w_sectors", lambda N, m: fake if (N, m) == (lams.num_parties, n) else real(N, m)
+        protocol, "multilocal_schur",
+        lambda dense: fake if (dense.num_parties, dense.copies) == (lams.num_parties, n)
+        else real(dense),
     )
+
+
+def _mismatched(state, n):
+    return [m["lams"] for m in verify_case(state, n)["mismatches"]]
 
 
 def _mutants(edit_one):
     """One edit per cell of _MUTATED at n=4: edit_one(cells, key) changes only
     that cell."""
-    keys = list(protocol._w_sectors(3, 4)[_MUTATED].cells)
+    keys = list(multilocal_schur(tensor_power(w_normal_form(3), 4))[_MUTATED].cells)
     assert len(keys) == 18
     return [lambda cells, key=key: edit_one(cells, key) for key in keys]
 
 
+def _assert_each_mutant_mismatches(monkeypatch, edits):
+    for edit in edits:
+        with monkeypatch.context() as m:
+            _patch_sectors(m, _MUTATED, 4, edit)
+            assert _mismatched(w_normal_form(3), 4) == [str(_MUTATED)]
+
+
 def test_oracle_khat_unchanged_cells_pass(monkeypatch):
-    _patch_w_sectors(monkeypatch, _MUTATED, 4, lambda cells: None)
-    assert oracle_khat(_MUTATED, 4).coeffs == khat(3, 4, _MUTATED).coeffs
+    _patch_sectors(monkeypatch, _MUTATED, 4, lambda cells: None)
+    assert _mismatched(w_normal_form(3), 4) == []
 
 
 def test_oracle_khat_rejects_a_changed_numerator(monkeypatch):
@@ -509,19 +523,16 @@ def test_oracle_khat_rejects_a_changed_numerator(monkeypatch):
         d = next(iter(cells[key]))
         cells[key][d] += 1
 
-    for edit in _mutants(bump):
-        with monkeypatch.context() as m:
-            _patch_w_sectors(m, _MUTATED, 4, edit)
-            with pytest.raises(InconsistencyError):
-                oracle_khat(_MUTATED, 4)
+    _assert_each_mutant_mismatches(monkeypatch, _mutants(bump))
 
 
 def test_oracle_khat_rejects_a_missing_cell(monkeypatch):
-    for edit in _mutants(lambda cells, key: cells.pop(key)):
-        with monkeypatch.context() as m:
-            _patch_w_sectors(m, _MUTATED, 4, edit)
-            with pytest.raises(InconsistencyError):
-                oracle_khat(_MUTATED, 4)
+    _assert_each_mutant_mismatches(monkeypatch, _mutants(lambda cells, key: cells.pop(key)))
+
+
+def test_verify_case_rejects_a_second_radical_class(monkeypatch):
+    # the cells' classes are 1, 2 and 6, so class 5 is always a second one
+    _assert_each_mutant_mismatches(monkeypatch, _mutants(lambda cells, key: cells[key].update({5: 1})))
 
 
 def test_oracle_khat_rejects_a_cell_outside_phi_support(monkeypatch):
@@ -529,17 +540,55 @@ def test_oracle_khat_rejects_a_cell_outside_phi_support(monkeypatch):
     weights, qlabels = sector_grid(_MUTATED)
     outside = [om for om in weights if om not in support]
     assert len(outside) == 39
-    for om in outside:
-        with monkeypatch.context() as m:
-            _patch_w_sectors(m, _MUTATED, 4, lambda cells: cells.update({(om, qlabels[0]): {1: 1}}))
-            with pytest.raises(InconsistencyError, match="outside fiducial support"):
-                oracle_khat(_MUTATED, 4)
+    _assert_each_mutant_mismatches(
+        monkeypatch,
+        [lambda cells, om=om: cells.update({(om, qlabels[0]): {1: 1}}) for om in outside],
+    )
 
 
-def test_w_sector_cache_holds_one_case():
-    protocol._w_sectors.cache_clear()
-    assert verify_report(cases=((3, 3), (4, 2)))["ok"]
-    assert protocol._w_sectors.cache_info().currsize <= 1
+def test_verify_case_rejects_a_missing_sector(monkeypatch):
+    # the admissible _MUTATED has a nonempty phi_hat, so its dense block must exist
+    _patch_sectors(monkeypatch, _MUTATED, 4, dict.clear)
+    assert _mismatched(w_normal_form(3), 4) == [str(_MUTATED)]
+
+
+def test_verify_case_rejects_a_block_where_khat_is_empty(monkeypatch):
+    # (1,1)^3 at n=2 is inadmissible: khat is empty, so no dense cell may exist
+    lams = ptuple((1, 1), (1, 1), (1, 1))
+    assert khat(3, 2, lams).is_zero
+    grid = sector_grid(lams)
+    _patch_sectors(monkeypatch, lams, 2, lambda cells: cells.update({(grid[0][0], grid[1][0]): {1: 1}}))
+    case = verify_case(w_normal_form(3), 2)
+    assert case["mismatches"] == [{"lams": str(lams), "why": "recurrence empty, oracle nonzero"}]
+
+
+def test_verify_case_rejects_an_empty_khat_under_a_nonzero_phi_hat(monkeypatch):
+    real = protocol.khat
+    monkeypatch.setattr(
+        protocol, "khat",
+        lambda N, n, lams: KroneckerVector(lams, {}) if lams == _MUTATED else real(N, n, lams),
+    )
+    with monkeypatch.context() as m:
+        _patch_sectors(m, _MUTATED, 4, dict.clear)
+        case = verify_case(w_normal_form(3), 4)
+    assert case["mismatches"] == [
+        {"lams": str(_MUTATED), "why": "recurrence empty, fiducial nonzero"}]
+    # with the dense block in place the oracle is the one that disagrees
+    assert verify_case(w_normal_form(3), 4)["mismatches"] == [
+        {"lams": str(_MUTATED), "why": "recurrence empty, oracle nonzero"}]
+
+
+def test_verify_case_rejects_a_block_where_phi_hat_is_empty(monkeypatch):
+    # party 3 of (0, 1/2, 1/2, 0) is never excited, so phi_hat vanishes on
+    # (2,0;1,1;1,1) although khat does not: the sector must stay empty
+    state = WClassState((0, Fraction(1, 2), Fraction(1, 2), 0))
+    lams = ptuple((2, 0), (1, 1), (1, 1))
+    assert not phi_hat(state, lams).coeffs and not khat(3, 2, lams).is_zero
+    assert _mismatched(state, 2) == []
+    grid = sector_grid(lams)
+    _patch_sectors(monkeypatch, lams, 2, lambda cells: cells.update({(grid[0][0], grid[1][0]): {1: 1}}),
+                   state)
+    assert _mismatched(state, 2) == [str(lams)]
 
 
 def test_master_oracle_equivalence_small():
@@ -559,36 +608,25 @@ def test_master_oracle_equivalence_two_parties():
 
 
 def test_theorem1_universality_random_states():
+    # every sector of psi^(x)n is phi_hat(psi) (x) khat exactly, with the
+    # khat of W, for seeded random W-class states psi
     rng = random.Random(90210)
 
-    def rand_state():
+    def rand_state(N):
         while True:
-            ks = [rng.randint(0, 6) for _ in range(4)]
+            ks = [rng.randint(0, 6) for _ in range(N + 1)]
             if sum(1 for k in ks[1:] if k) >= 2:
                 s = sum(ks)
                 return WClassState(tuple(Fraction(k, s) for k in ks))
 
-    w_ref = w_normal_form(3)
-    for _ in range(5):
-        state = rand_state()
-        for n in (2, 3, 4):
-            sectors = multilocal_schur(tensor_power(state, n))
-            for lams, block in sectors.items():
-                m = float_matrix(block)
-                sv = np.linalg.svd(m, compute_uv=False)
-                if len(sv) > 1:
-                    assert sv[1] <= 1e-10 * max(1, sv[0])
-                # extracted q-side factor is the W Kronecker vector
-                _, _, vt = np.linalg.svd(m)
-                qvec = vt[0]
-                kv = normalized(khat(3, n, lams))
-                qlabels = sector_grid(lams)[1]
-                ref = np.zeros(len(qlabels))
-                for i, qt in enumerate(qlabels):
-                    if qt in kv.coeffs:
-                        ref[i] = float(kv.coeffs[qt])
-                cos = abs(float(qvec @ ref))
-                assert cos >= 1 - 1e-10, (state, lams, cos)
+    cases = [(rand_state(3), n) for _ in range(5) for n in (2, 3, 4)]
+    cases += [(rand_state(4), n) for _ in range(3) for n in (2, 3, 4)]
+    cases += [(rand_state(5), n) for _ in range(3) for n in (2, 3)]
+    states = {state for state, _ in cases}
+    assert any(state.c[0] for state in states)
+    assert any(0 in state.c[1:] for state in states)
+    for state, n in cases:
+        assert not verify_case(state, n)["mismatches"], (state, n)
 
 
 def test_sample_outcomes_deterministic():
@@ -719,8 +757,3 @@ def test_per_copy_yield_n12():
 def test_per_copy_yield_n24():
     # the yield approaches the local entropy as n grows: a tighter bound at n=24
     assert all(d < 0.09 for d in _yield_deviations(24))
-
-
-def test_oracle_khat_validates_input():
-    with pytest.raises(ValueError):
-        oracle_khat(ptuple((2, 0), (2, 0), (2, 0)), 3)

@@ -38,7 +38,7 @@ ALLOWED = {
     "probw.p_psi": "the benchmark's tracer counts calls to it by name",
     "exact.SqrtRational.__neg__": "arithmetic on the scalar, not a route to a quantity",
     "partitions.TwoRowPartition.__repr__": "the display form that error messages print",
-    "protocol.DenseState.norm_sq": "the tensor power's own normalization check",
+    "protocol.DenseState.norm_sq": "only tests call it, to check that a tensor power has norm 1",
 }
 
 # The distinct argv of the `wkron` calls in .github/workflows/tests.yml, in step order.
