@@ -40,7 +40,8 @@ from itertools import product
 from operator import itemgetter
 
 from .exact import InconsistencyError, SqrtRational, _times_root
-from .partitions import PartitionTuple, TwoRowPartition, dim_irrep, list_partitions, w_admissible
+from .partitions import (
+    PartitionTuple, TwoRowPartition, dim_irrep, list_partitions, w_admissible, w_admissible_tuples)
 from .schur import standard_paths
 
 QTuple = tuple[tuple[int, ...], ...]
@@ -78,7 +79,7 @@ def _sector_coeffs(lams: PartitionTuple) -> dict[QTuple, SqrtRational]:
     out: dict[QTuple, SqrtRational] = {}
     values: dict[SqrtRational, SqrtRational] = {}
     for p, num, den in _predecessors(b, n):
-        prev = PartitionTuple(tuple(TwoRowPartition(n - 1 - pi, pi) for pi in p))
+        prev = PartitionTuple(TwoRowPartition(n - 1 - pi, pi) for pi in p)
         f = SqrtRational(1 if num > 0 else -1, Fraction(num * num, den))
         prev_coeffs = _memo_coeffs(prev)
         # one object per distinct path and value keeps a sector small
@@ -139,20 +140,17 @@ def khat(num_parties: int, n: int, lams: PartitionTuple) -> KroneckerVector:
         return KroneckerVector(lams, {})
     levels = _down_set({tuple(lam.lambda2 for lam in lams)}, n)
     for m, level in enumerate(levels[:-1], 1):
-        parts = [TwoRowPartition(m - bi, bi) for bi in range(m // 2 + 1)]
+        parts = list_partitions(m)
         for b in level:
-            _memo_coeffs(PartitionTuple(tuple(map(parts.__getitem__, b))))
+            _memo_coeffs(PartitionTuple(map(parts.__getitem__, b)))
     return KroneckerVector(lams, _sector_coeffs(lams))
 
 
 def khat_all(num_parties: int, n: int) -> dict[PartitionTuple, KroneckerVector]:
-    """Unnormalized Kronecker vectors of every sector with nonzero support."""
-    out = {}
-    for combo in product(list_partitions(n), repeat=num_parties):
-        kv = khat(num_parties, n, PartitionTuple(combo))
-        if not kv.is_zero:
-            out[kv.lams] = kv
-    return out
+    """Unnormalized Kronecker vectors of every sector with nonzero support;
+    only the admissible sectors are built."""
+    kvs = (khat(num_parties, n, lams) for lams in w_admissible_tuples(num_parties, n))
+    return {kv.lams: kv for kv in kvs if not kv.is_zero}
 
 
 def eta_sq_table(sectors) -> dict[PartitionTuple, Fraction]:

@@ -10,69 +10,58 @@ the tests as an oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import compress
-from operator import add, not_
+from itertools import compress, product
+from operator import add, itemgetter, not_
 
 from .exact import InconsistencyError
 
 
-@dataclass(frozen=True, order=True)
-class TwoRowPartition:
-    """Integer partition (lambda1, lambda2) with lambda1 >= lambda2 >= 0."""
+class TwoRowPartition(tuple):
+    """Integer partition (lambda1, lambda2) with lambda1 >= lambda2 >= 0: a
+    tuple, so it compares and hashes as the plain pair (lambda1, lambda2)."""
 
-    lambda1: int
-    lambda2: int
+    __slots__ = ()
+    lambda1 = property(itemgetter(0))
+    lambda2 = property(itemgetter(1))
+    size = property(sum)
 
-    def __post_init__(self):
-        if not (self.lambda1 >= self.lambda2 >= 0):
-            raise ValueError(f"invalid two-row partition ({self.lambda1},{self.lambda2})")
-
-    @property
-    def size(self) -> int:
-        return self.lambda1 + self.lambda2
+    def __new__(cls, lambda1: int, lambda2: int):
+        if not (lambda1 >= lambda2 >= 0):
+            raise ValueError(f"invalid two-row partition ({lambda1},{lambda2})")
+        return super().__new__(cls, (lambda1, lambda2))
 
     @property
     def nu(self) -> int:
         """Row difference lambda1 - lambda2 (twice the spin)."""
-        return self.lambda1 - self.lambda2
-
-    def as_tuple(self) -> tuple[int, int]:
-        return (self.lambda1, self.lambda2)
+        return self[0] - self[1]
 
     def __repr__(self) -> str:
-        return f"({self.lambda1},{self.lambda2})"
+        return f"({self[0]},{self[1]})"
 
 
-@dataclass(frozen=True)
-class PartitionTuple:
-    """One two-row partition per party, all of the same size n."""
+class PartitionTuple(tuple):
+    """One two-row partition per party, all of the same size n: a tuple of
+    TwoRowPartitions, so it compares and hashes as the plain tuple of
+    (lambda1, lambda2) pairs."""
 
-    parts: tuple[TwoRowPartition, ...]
+    __slots__ = ()
+    num_parties = property(len)
 
-    def __post_init__(self):
-        if not self.parts:
+    def __new__(cls, parts):
+        self = super().__new__(cls, parts)
+        if not self:
             raise ValueError("empty partition tuple")
-        sizes = {p.size for p in self.parts}
+        sizes = {p.size for p in self}
         if len(sizes) != 1:
             raise ValueError(f"parts must share one size, got {sizes}")
+        return self
 
     @property
     def n(self) -> int:
-        return self.parts[0].size
-
-    @property
-    def num_parties(self) -> int:
-        return len(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __getitem__(self, i):
-        return self.parts[i]
+        return self[0].size
 
     def __repr__(self) -> str:
-        return "(" + ";".join(f"{p.lambda1},{p.lambda2}" for p in self.parts) + ")"
+        return "(" + ";".join(f"{l1},{l2}" for l1, l2 in self) + ")"
 
 
 def ptuple(*pairs) -> PartitionTuple:
@@ -180,13 +169,27 @@ def kron_coeff(t: PartitionTuple) -> int:
     return g
 
 
+def _admissible(b, n: int) -> bool:
+    """The W-class support on second rows b of n boxes:
+    2*b_i <= sum_j b_j <= n for every party i."""
+    s = sum(b)
+    return s <= n and 2 * max(b) <= s
+
+
 def w_admissible(t: PartitionTuple) -> bool:
     """Membership in the W-class support: for every party i,
     2*lambda2^(i) <= sum_j lambda2^(j) <= n."""
-    s = sum(lam.lambda2 for lam in t)
-    if s > t.n:
-        return False
-    return all(2 * lam.lambda2 <= s for lam in t)
+    return _admissible([lam.lambda2 for lam in t], t.n)
+
+
+def w_admissible_tuples(num_parties: int, n: int):
+    """The W-admissible partition tuples of num_parties parts of n, in the
+    order of `protocol.all_partition_tuples`: second-row tuples run in
+    lexicographic order, and only the admissible ones become objects."""
+    parts = list_partitions(n)
+    for b in product(range(n // 2 + 1), repeat=num_parties):
+        if _admissible(b, n):
+            yield PartitionTuple(map(parts.__getitem__, b))
 
 
 def reduced_entropy(lam: TwoRowPartition) -> float:

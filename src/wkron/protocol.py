@@ -41,7 +41,7 @@ from . import ghz as ghzmod
 from . import probw
 from .exact import InconsistencyError, SqrtRational, _times_root
 from .kronstate import khat
-from .partitions import PartitionTuple, list_partitions
+from .partitions import PartitionTuple, list_partitions, w_admissible_tuples
 from .schur import party_columns
 from .wstates import WClassState, phi_hat, w_normal_form
 
@@ -117,10 +117,6 @@ class DenseState:
     num_parties: int
     copies: int
     amplitudes: dict[int, tuple[int, int, int]]
-
-    def norm_sq(self) -> Fraction:
-        amps = self.amplitudes.values()
-        return sum((Fraction(d * num * num, den * den) for d, num, den in amps), Fraction(0))
 
 
 def tensor_power(state, n: int) -> DenseState:
@@ -240,7 +236,7 @@ def _contract_party(groups: dict, i: int, cols) -> dict:
 
 def all_partition_tuples(num_parties: int, n: int):
     for combo in product(list_partitions(n), repeat=num_parties):
-        yield PartitionTuple(tuple(combo))
+        yield PartitionTuple(combo)
 
 
 def sector_distribution(state, n: int) -> list[tuple[PartitionTuple, Fraction]]:
@@ -248,14 +244,16 @@ def sector_distribution(state, n: int) -> list[tuple[PartitionTuple, Fraction]]:
     in the order of `all_partition_tuples` for every kind of state.
 
     W-class states use `probw.sector_probabilities` (Z * eta^2, one integer
-    eta^2 sweep up to level n for every sector) and GHZ states the Louck-polynomial
-    sum `ghz.sector_probability`, both closed forms with no size cap; this is
-    the route of `wkron prob` and `wkron sample`.  Raw amplitude lists fall
-    back to the exact dense oracle within its cap, so a raw list that spells
-    out a W-class or GHZ state gives that state's rows.
+    eta^2 sweep up to level n) over the admissible sectors only, listed by
+    `partitions.w_admissible_tuples`: every other sector has probability 0,
+    so no object is built for it.  GHZ states use the Louck-polynomial sum
+    `ghz.sector_probability` over every sector.  Both are closed forms with
+    no size cap; this is the route of `wkron prob` and `wkron sample`.  Raw
+    amplitude lists fall back to the exact dense oracle within its cap, so a
+    raw list that spells out a W-class or GHZ state gives that state's rows.
     """
     if isinstance(state, WClassState):
-        sectors = list(all_partition_tuples(state.num_parties, n))
+        sectors = list(w_admissible_tuples(state.num_parties, n))
         out = zip(sectors, probw.sector_probabilities(state, sectors))
     elif isinstance(state, GHZState):
         out = [

@@ -74,7 +74,7 @@ def party_columns(n: int):
     if n > SCHUR_SIZE_CAP:
         raise ValueError(f"n={n} exceeds the n<={SCHUR_SIZE_CAP} size cap")
     # one partition object per shape; list_partitions refuses n < 1
-    lams = {lam.as_tuple(): lam for lam in list_partitions(n)}
+    lams = {lam: lam for lam in list_partitions(n)}
     labels, roots, dens, split = [], [], set(), [[] for _ in range(2**n)]
 
     def grow(q, l1, l2, b, cols):

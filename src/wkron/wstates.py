@@ -192,7 +192,7 @@ def z_norms(state: WClassState, sectors) -> list[Fraction]:
         if not w_admissible(s):
             out.append(Fraction(0))
             continue
-        h, p = head(s.parts[:-1]), poly(s.num_parties - 1, s[-1])
+        h, p = head(s[:-1]), poly(s.num_parties - 1, s[-1])
         num = sum(pj * h[n - j] for j, pj in enumerate(p))
         out.append(Fraction(num, den_n * math.prod(math.factorial(lam.nu) for lam in s)))
     return out

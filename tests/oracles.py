@@ -29,7 +29,7 @@ from wkron.partitions import (
     w_admissible,
 )
 from wkron.probw import WeightTuple, _z_count_cached
-from wkron.protocol import QTuple, SectorBlock, _single_copy_amplitudes
+from wkron.protocol import DenseState, QTuple, SectorBlock, _single_copy_amplitudes
 from wkron.schur import PathSeq, _gamma_row, party_columns, standard_paths
 from wkron.wstates import PhiState, a_factor
 
@@ -172,6 +172,12 @@ def phi_norm_sq(phi: PhiState) -> Fraction:
     """Z as the sum of the built fiducial state's squared coefficients; the
     package takes Z from `wstates.z_norms` without building the state."""
     return sum((v.square() for v in phi.coeffs.values()), Fraction(0))
+
+
+def dense_norm_sq(state: DenseState) -> Fraction:
+    """Squared norm of a dense tensor power, from its (d, num, den) amplitudes."""
+    amps = state.amplitudes.values()
+    return sum((Fraction(d * num * num, den * den) for d, num, den in amps), Fraction(0))
 
 
 def trace(g: GramMatrix) -> Fraction:

@@ -413,6 +413,12 @@ def test_verify_two_class_cell_exits_1(capsys, monkeypatch):
          "a4a414d94f7f21a099ac1f9f1987fe1a97b145295247530d8d367268c03e390e"),
         ("verify --nmax3 3 --nmax4 2",
          "6430150287a1036d006a4ea45c24cbed3e3de16c709d91a85c58420321ab25bb"),
+        ("prob --parties 8 --copies 8",
+         "29d7ecfdea603904ab4234fdf4bd41aaedd2470f1aea4ba95764d728b721487c"),
+        ("prob --parties 10 --copies 6",
+         "31fad56c69295069b8bbac42149506d05ede85336fb19c243f6c7c45fa2298fa"),
+        ("sample --parties 8 --copies 8 --seed 7 --runs 1000",
+         "f3381ed1610a0a3db6cd4ba2b3ff666fa804c2e8fd2bc683e86da487ac71fbf9"),
     ],
 )
 def test_stdout_matches_its_pinned_sha256(capsys, argv, digest):

@@ -4,6 +4,7 @@ import pytest
 
 from oracles import all_cycle_types, character, class_size, kron_coeff_young
 from wkron.partitions import (
+    PartitionTuple,
     TwoRowPartition,
     dim_irrep,
     kron_coeff,
@@ -12,13 +13,15 @@ from wkron.partitions import (
     ptuple,
     reduced_entropy,
     w_admissible,
+    w_admissible_tuples,
 )
+from wkron.protocol import all_partition_tuples
 
 
 def test_list_partitions():
-    assert [p.as_tuple() for p in list_partitions(3)] == [(3, 0), (2, 1)]
-    assert [p.as_tuple() for p in list_partitions(1)] == [(1, 0)]
-    assert [p.as_tuple() for p in list_partitions(7)] == [(7, 0), (6, 1), (5, 2), (4, 3)]
+    assert list_partitions(3) == [(3, 0), (2, 1)]
+    assert list_partitions(1) == [(1, 0)]
+    assert list_partitions(7) == [(7, 0), (6, 1), (5, 2), (4, 3)]
 
 
 def test_dim_irrep_examples():
@@ -108,7 +111,7 @@ def test_kron_coeff_matches_young_rule_character_sum(num_parties, nmax):
 
     for n in range(1, nmax + 1):
         for combo in product(list_partitions(n), repeat=num_parties):
-            lams = ptuple(*(lam.as_tuple() for lam in combo))
+            lams = ptuple(*combo)
             assert kron_coeff(lams) == kron_coeff_young(lams), lams
 
 
@@ -139,7 +142,7 @@ def test_kron_coeff_two_parties_is_delta():
         for lam in list_partitions(n):
             for mu in list_partitions(n):
                 expect = 1 if lam == mu else 0
-                assert kron_coeff(ptuple(lam.as_tuple(), mu.as_tuple())) == expect
+                assert kron_coeff(ptuple(lam, mu)) == expect
 
 
 def test_kron_coeff_equals_invariant_nullity():
@@ -154,7 +157,7 @@ def test_kron_coeff_equals_invariant_nullity():
     for num_parties in (3, 4):
         for n in range(2, 6):
             lams_iter = [
-                ptuple(*[x.as_tuple() for x in combo])
+                ptuple(*combo)
                 for combo in product(list_partitions(n), repeat=num_parties)
             ]
             swap = tuple([1, 0] + list(range(2, n)))
@@ -177,6 +180,31 @@ def test_w_admissible_examples():
     assert w_admissible(ptuple((2, 0), (1, 1), (1, 1)))
     for n in (1, 3, 6):
         assert w_admissible(ptuple(*([(n, 0)] * 4)))
+
+
+@pytest.mark.parametrize("num_parties", [2, 3, 4, 5])
+def test_w_admissible_tuples_are_the_admissible_filter(num_parties):
+    for n in range(1, 9):
+        expect = [t for t in all_partition_tuples(num_parties, n) if w_admissible(t)]
+        assert list(w_admissible_tuples(num_parties, n)) == expect, n
+    with pytest.raises(ValueError):
+        list(w_admissible_tuples(num_parties, 0))
+
+
+def test_sectors_compare_as_plain_tuples():
+    lam = TwoRowPartition(5, 2)
+    assert lam == (5, 2) and hash(lam) == hash((5, 2))
+    assert (lam.lambda1, lam.lambda2, lam.size, lam.nu, repr(lam)) == (5, 2, 7, 3, "(5,2)")
+    t = ptuple((5, 2), (6, 1), (4, 3))
+    assert t == ((5, 2), (6, 1), (4, 3)) and {((5, 2), (6, 1), (4, 3)): 1}[t] == 1
+    assert (t.n, t.num_parties, repr(t), str(t)) == (7, 3, "(5,2;6,1;4,3)", "(5,2;6,1;4,3)")
+    assert t[:-1] == ((5, 2), (6, 1)) and type(t[-1]) is TwoRowPartition
+    with pytest.raises(ValueError, match=r"invalid two-row partition \(2,3\)"):
+        TwoRowPartition(2, 3)
+    with pytest.raises(ValueError, match="empty partition tuple"):
+        PartitionTuple(())
+    with pytest.raises(ValueError, match="parts must share one size"):
+        PartitionTuple((TwoRowPartition(2, 1), TwoRowPartition(2, 0)))
 
 
 def test_reduced_entropy():

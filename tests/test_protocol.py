@@ -12,6 +12,7 @@ from oracles import (
     RadicalSum,
     SchurLabel,
     b_coeff,
+    dense_norm_sq,
     multilocal_schur_reference,
     residual_schmidt,
     sector_cell,
@@ -26,6 +27,7 @@ from wkron.cli import main as cli_main
 from wkron.exact import SqrtRational
 from wkron.kronstate import KroneckerVector, khat
 from wkron.partitions import ptuple, reduced_entropy, w_admissible
+from wkron.probw import p_psi
 from wkron.protocol import (
     GHZState,
     InconsistencyError,
@@ -39,7 +41,7 @@ from wkron.protocol import (
     verify_case,
     verify_report,
 )
-from wkron.wstates import WClassState, phi_hat, w_normal_form
+from wkron.wstates import WClassState, parse_w_state, phi_hat, w_normal_form
 
 
 def sq(x):
@@ -59,7 +61,7 @@ def test_tensor_power_w_two_copies():
     d = tensor_power(w, 2)
     assert len(d.amplitudes) == 9
     assert all(v == (1, 3, 9) for v in d.amplitudes.values())
-    assert d.norm_sq() == 1
+    assert dense_norm_sq(d) == 1
 
 
 def test_tensor_power_ghz():
@@ -74,7 +76,7 @@ def test_tensor_power_ghz():
         (0b101010, (2, 3, 9)),
         (0b111111, (1, 3, 9)),
     ]
-    assert d.norm_sq() == 1
+    assert dense_norm_sq(d) == 1
 
 
 def test_tensor_power_size_cap():
@@ -217,6 +219,21 @@ def test_raw_w_list_gives_the_rows_and_samples_of_its_state(c, n):
     assert sector_distribution(raw, n) == sector_distribution(state, n)
     for seed in (0, 7, 2024):
         assert sample_outcomes(raw, n, seed, 200) == sample_outcomes(state, n, seed, 200)
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [",".join(["0"] + [f"1/{N}"] * N) for N in range(2, 7)]
+    + ["1/12,1/4,1/6,1/3,1/6", "0,1/2,1/3,0,1/6"],  # c0 > 0; one zero c_i
+)
+def test_w_distribution_equals_every_sector_priced_alone(weights):
+    # the W route lists admissible sectors only; pricing every sector one by
+    # one must give the same nonzero rows in the same order
+    state = parse_w_state(weights)
+    for n in range(1, 7):
+        expect = [(lams, p) for lams in all_partition_tuples(state.num_parties, n)
+                  if (p := p_psi(state, lams)) > 0]
+        assert sector_distribution(state, n) == expect, n
 
 
 def _signed_root(k: int, negative: bool) -> SqrtRational:

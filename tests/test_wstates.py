@@ -115,7 +115,7 @@ def test_support_empty_iff_inadmissible_or_lattice_empty():
     w = w_normal_form(3)
     for n in range(1, 6):
         for combo in product(list_partitions(n), repeat=3):
-            lams = ptuple(*[x.as_tuple() for x in combo])
+            lams = ptuple(*combo)
             ph = phi_hat(w, lams)
             if ph.coeffs:
                 assert w_admissible(lams), lams
@@ -132,7 +132,7 @@ def test_z_norm_positive_on_admissible_positive_weights():
     state = WClassState((Fraction(1, 10), Fraction(3, 10), Fraction(3, 10), Fraction(3, 10)))
     for n in range(1, 6):
         for combo in product(list_partitions(n), repeat=3):
-            lams = ptuple(*[x.as_tuple() for x in combo])
+            lams = ptuple(*combo)
             if w_admissible(lams):
                 assert z_norm(state, lams) > 0, lams
 
@@ -148,7 +148,7 @@ def test_phi_hat_matches_covariant_coefficients():
     for state in states:
         for n in range(1, 5):
             for combo in product(list_partitions(n), repeat=3):
-                lams = ptuple(*[x.as_tuple() for x in combo])
+                lams = ptuple(*combo)
                 nu = tuple(lam.nu for lam in lams)
                 w = n - sum(lam.lambda2 for lam in lams)
                 poly = theorem2_form(state, n, nu)

@@ -38,7 +38,6 @@ ALLOWED = {
     "probw.p_psi": "the benchmark's tracer counts calls to it by name",
     "exact.SqrtRational.__neg__": "arithmetic on the scalar, not a route to a quantity",
     "partitions.TwoRowPartition.__repr__": "the display form that error messages print",
-    "protocol.DenseState.norm_sq": "only tests call it, to check that a tensor power has norm 1",
 }
 
 # The distinct argv of the `wkron` calls in .github/workflows/tests.yml, in step order.
@@ -50,6 +49,8 @@ CI_ARGV = [
     "kron --lambda 5,2;5,2;5,2;6,1",
     "prob --parties 3 --copies 24",
     "prob --parties 4 --copies 24",
+    "prob --parties 8 --copies 8",
+    "prob --parties 10 --copies 6",
     "prob --state ghz:1/3 --copies 24",
     "covariant --state 1/12,1/4,1/3,1/3 --copies 24 --nu 24,24,24",
     "covariant --parties 4 --copies 12 --nu 12,12,12,12",
