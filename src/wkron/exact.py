@@ -2,14 +2,16 @@
 a small dense symmetric eigensolver, and `InconsistencyError`, raised when an
 exact check fails.
 
-The one scalar is :class:`SqrtRational`, a value ``sign * sqrt(radicand)``
-with ``radicand`` a nonnegative ``Fraction``.  The set of such values is closed
-under multiplication and division, which is all the recurrences downstream
-need.  Sums of SqrtRationals are deliberately *not* part of the ring.  Where
-a sum crosses radical classes, the caller splits each value once into a
-squarefree class d and an integer numerator over a common denominator
-(:meth:`SqrtRational.radical_parts`, or `schur.party_columns` for the integer
-B coefficients) and keeps one integer per class.  The private `_times_root`
+The one scalar is :class:`SqrtRational`, a value ``sign * sqrt(num/den)``
+held as the int tuple ``(sign, num, den)`` in lowest terms, which it compares
+and hashes as, so work done once per distinct value keys a dict by the value.
+The set of such values is closed under multiplication and division, which is
+all the recurrences downstream need.  Sums of SqrtRationals are deliberately
+*not* part of the ring.  Where a sum crosses radical classes, the caller
+splits each value once into a squarefree class d and an integer numerator
+over a common denominator (:meth:`SqrtRational.radical_parts`, or
+`schur.party_columns` for the integer B coefficients) and keeps one integer
+per class.  The private `_times_root`
 is the one rule for such sums: sqrt(d) * sqrt(e) = g * sqrt(d e / g^2) with
 g = gcd(d, e), so a product's class takes one gcd and no factoring.  The
 dense oracle (`protocol`) and `kronstate.reduced_density` read it.  `sym_eig`
@@ -22,9 +24,9 @@ their own: the package never asks whether a SqrtRational is rational.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 
 import numpy as np
 
@@ -39,23 +41,34 @@ def _sign(x) -> int:
     return (x > 0) - (x < 0)
 
 
-@dataclass(frozen=True)
-class SqrtRational:
-    """Exact value sign * sqrt(radicand), with radicand a reduced Fraction >= 0.
+class SqrtRational(tuple):
+    """Exact value sign * sqrt(num/den): a tuple (sign, num, den) of ints
+    with num/den in lowest terms and den >= 1, so it compares and hashes as
+    that plain tuple.  Zero is (0, 0, 1).
 
-    Invariant: sign == 0 iff radicand == 0.
+    Invariant: sign == 0 iff num == 0.
     """
 
-    sign: int
-    radicand: Fraction
+    __slots__ = ()
+    sign = property(itemgetter(0))
+    __add__ = __rmul__ = None  # no sums, and no tuple repetition by an int
 
-    def __post_init__(self):
-        if self.sign not in (-1, 0, 1):
-            raise ValueError(f"sign must be -1, 0 or +1, got {self.sign}")
-        if self.radicand < 0:
-            raise ValueError(f"radicand must be nonnegative, got {self.radicand}")
-        if (self.sign == 0) != (self.radicand == 0):
+    def __new__(cls, sign: int, radicand):
+        if sign not in (-1, 0, 1):
+            raise ValueError(f"sign must be -1, 0 or +1, got {sign}")
+        if radicand < 0:
+            raise ValueError(f"radicand must be nonnegative, got {radicand}")
+        if (sign == 0) != (radicand == 0):
             raise ValueError("sign == 0 iff radicand == 0 violated")
+        radicand = Fraction(radicand)
+        return super().__new__(cls, (int(sign), radicand.numerator, radicand.denominator))
+
+    def __getnewargs__(self):
+        return self.sign, self.radicand
+
+    @property
+    def radicand(self) -> Fraction:
+        return Fraction(self[1], self[2])
 
     # -- constructors ------------------------------------------------------
 
@@ -82,28 +95,21 @@ class SqrtRational:
         return SqrtRational(_sign(x), x * x)
 
     # -- arithmetic --------------------------------------------------------
+    # one gcd reduces a product; a zero factor gives gcd(0, den) = den: (0, 0, 1)
 
     def __mul__(self, other: "SqrtRational") -> "SqrtRational":
-        s = self.sign * other.sign
-        if s == 0:
-            return SqrtRational.zero()
-        return SqrtRational(s, self.radicand * other.radicand)
+        (s, a, b), (t, c, d) = self, other
+        g = math.gcd(a * c, b * d)
+        return tuple.__new__(SqrtRational, (s * t, a * c // g, b * d // g))
 
     def __neg__(self) -> "SqrtRational":
-        if self.sign == 0:
-            return self
-        return SqrtRational(-self.sign, self.radicand)
+        return tuple.__new__(SqrtRational, (-self[0], self[1], self[2]))
 
     def __truediv__(self, other: "SqrtRational") -> "SqrtRational":
-        if other.sign == 0:
+        t, c, d = other
+        if not t:
             raise ZeroDivisionError("division by zero SqrtRational")
-        if self.sign == 0:
-            return self
-        return SqrtRational(self.sign * other.sign, self.radicand / other.radicand)
-
-    def scale(self, q) -> "SqrtRational":
-        """Multiply by an exact rational q."""
-        return SqrtRational.from_rational(q) * self
+        return self * tuple.__new__(SqrtRational, (t, d, c))  # 1/other
 
     @property
     def is_zero(self) -> bool:
@@ -116,23 +122,19 @@ class SqrtRational:
         """(d, num, den) with self == num/den * sqrt(d), d squarefree and den
         the radicand's denominator; num/den need not be reduced.  Zero has no
         radical class and raises ValueError."""
-        if self.sign == 0:
+        sign, num, den = self
+        if sign == 0:
             raise ValueError("zero has no radical class")
-        num, den = self.radicand.numerator, self.radicand.denominator
         m, d = _squarefree(num * den)  # sqrt(num/den) = sqrt(num*den)/den
-        return d, self.sign * m, den
+        return d, sign * m, den
 
     def __float__(self) -> float:
-        return self.sign * math.sqrt(self.radicand.numerator / self.radicand.denominator)
+        return self[0] * math.sqrt(self[1] / self[2])
 
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> dict:
-        return {
-            "sign": self.sign,
-            "num": self.radicand.numerator,
-            "den": self.radicand.denominator,
-        }
+        return dict(zip(("sign", "num", "den"), self))
 
     @staticmethod
     def from_json(d: dict) -> "SqrtRational":

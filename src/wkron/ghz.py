@@ -175,14 +175,13 @@ def gram(lams: PartitionTuple, alpha, n: int) -> GramMatrix:
     weights, xi, q_n, diag, den = _diagonal(lams, alpha)
     if den == 0:
         return GramMatrix([], [])
-    inv_den = Fraction(1) / den
     entries = [[None] * len(weights) for _ in weights]
     for i, om in enumerate(weights):
         for j in range(i, len(weights)):
             omp = weights[j]
             ov = SqrtRational.from_rational(diag[i]) if i == j else overlap(lams, om, omp)
-            num = SqrtRational.sqrt(Fraction(xi[i] * xi[j], q_n * q_n)) * ov
-            entries[i][j] = entries[j][i] = num.scale(inv_den)
+            scale = SqrtRational.sqrt(Fraction(xi[i] * xi[j], q_n * q_n) / (den * den))
+            entries[i][j] = entries[j][i] = scale * ov
     return GramMatrix(weights, entries)
 
 

@@ -57,12 +57,10 @@ class KroneckerVector:
         return not self.coeffs
 
     def norm_sq(self) -> Fraction:
-        # coefficients share few value objects (see _sector_coeffs): square
-        # each distinct object once, times the number of keys holding it
-        vals = self.coeffs.values()
-        distinct = dict(zip(map(id, vals), vals))
-        counts = Counter(map(id, vals))
-        return sum((v.square() * counts[i] for i, v in distinct.items()), Fraction(0))
+        # coefficients take few distinct values: square each once, times
+        # the number of keys holding it
+        counts = Counter(self.coeffs.values())
+        return sum((v.square() * c for v, c in counts.items()), Fraction(0))
 
 
 def _sector_coeffs(lams: PartitionTuple) -> dict[QTuple, SqrtRational]:
@@ -94,12 +92,11 @@ def _sector_coeffs(lams: PartitionTuple) -> dict[QTuple, SqrtRational]:
 
 
 def _per_value(coeffs: dict, fn):
-    """fn of each coefficient's value, lazily in key order.  fn runs once
-    per value object: values are shared, and keying them by id costs less
-    than hashing a Fraction."""
+    """fn of each coefficient's value, lazily in key order; fn runs once per
+    distinct value."""
     vals = coeffs.values()
-    done = {i: fn(v) for i, v in dict(zip(map(id, vals), vals)).items()}
-    return map(done.__getitem__, map(id, vals))
+    done = {v: fn(v) for v in set(vals)}
+    return map(done.__getitem__, vals)
 
 
 def _partywise(maps, keys, *more):
@@ -306,7 +303,7 @@ def normalized(k: KroneckerVector) -> KroneckerVector:
     e = eta(k)
     if e.is_zero:
         raise ValueError("cannot normalize the zero vector")
-    # coefficients share few value objects; divide each once
+    # coefficients take few distinct values; divide each once
     return KroneckerVector(k.lams, dict(zip(k.coeffs, _per_value(k.coeffs, lambda v: v / e))))
 
 
@@ -315,25 +312,24 @@ def reduced_density(k: KroneckerVector, party: int) -> list[list[Fraction]]:
     lexicographic path order: rho[i][j] = sum of k(q_i, rest) * k(q_j, rest)
     over the other parties' paths rest.
 
-    Each coefficient value object (`khat` shares them) is split once into
-    its squarefree class e and an integer numerator over one common
-    denominator D, the lcm of the radicands' denominators.  An entry is then
-    a sum of integers per class over D^2, added by `exact._times_root` with
-    no product factored.  Within a sector all products share one radical
-    class, so every entry is rational; one that is not raises ValueError.
+    Each distinct coefficient value is split once into its squarefree class
+    e and an integer numerator over one common denominator D, the lcm of the
+    radicands' denominators.  An entry is then a sum of integers per class
+    over D^2, added by `exact._times_root` with no product factored.  Within
+    a sector all products share one radical class, so every entry is
+    rational; one that is not raises ValueError.
     """
     paths = standard_paths(k.lams[party])
     index = {q: i for i, q in enumerate(paths)}
     d = len(paths)
-    vals = k.coeffs.values()
-    parts = {i: v.radical_parts() for i, v in dict(zip(map(id, vals), vals)).items() if v.sign}
+    parts = {v: v.radical_parts() for v in set(k.coeffs.values()) if v.sign}
     den = math.lcm(*(q for _, _, q in parts.values()))
-    split = {i: (e, num * (den // q)) for i, (e, num, q) in parts.items()}
+    split = {v: (e, num * (den // q)) for v, (e, num, q) in parts.items()}
     by_rest: dict[tuple, list[tuple[int, int, int]]] = {}
     for qt, v in k.coeffs.items():
-        if id(v) in split:
+        if v in split:
             rest = qt[:party] + qt[party + 1:]
-            by_rest.setdefault(rest, []).append((index[qt[party]], *split[id(v)]))
+            by_rest.setdefault(rest, []).append((index[qt[party]], *split[v]))
     acc: list[list[dict[int, int]]] = [[{} for _ in range(d)] for _ in range(d)]
     for entries in by_rest.values():
         for i, e, c in entries:
@@ -372,11 +368,10 @@ def verify_lemma1(k: KroneckerVector, party: int) -> float:
 def to_table_json(k: KroneckerVector) -> dict:
     lams = k.lams
     labels, ordinals = zip(*map(_path_index, lams))
-    records = _per_value(k.coeffs, lambda v: (v.sign, v.radicand.numerator, v.radicand.denominator))
     # one ordinal key per coefficient, built as the entry's "q" list with its
-    # value's record appended; the keys differ before the record, so sorting
-    # never compares records, and popping the record leaves "q"
-    rows = list(map(list, _partywise(ordinals, k.coeffs, records)))
+    # value, the record (sign, num, den), appended; the keys differ before
+    # the value, so sorting never compares values, and popping it leaves "q"
+    rows = list(map(list, _partywise(ordinals, k.coeffs, k.coeffs.values())))
     rows.sort()
     entries = []
     for q in rows:

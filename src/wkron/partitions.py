@@ -30,6 +30,9 @@ class TwoRowPartition(tuple):
             raise ValueError(f"invalid two-row partition ({lambda1},{lambda2})")
         return super().__new__(cls, (lambda1, lambda2))
 
+    def __getnewargs__(self):
+        return tuple(self)
+
     @property
     def nu(self) -> int:
         """Row difference lambda1 - lambda2 (twice the spin)."""

@@ -128,11 +128,10 @@ def tensor_power(state, n: int) -> DenseState:
     if N * n > EXACT_CAP:
         raise SizeCapError(f"{N * n} qubits exceeds the {EXACT_CAP}-qubit dense cap")
     # per pattern: its bits one place above copy 0's (copy k's are these
-    # shifted right by k + 1), sign, radicand P/Q as two integers and class;
-    # a product's class is d1*d2/g^2 for g = gcd(d1, d2)
+    # shifted right by k + 1), the value (sign, P, Q) of radicand P/Q and its
+    # class; a product's class is d1*d2/g^2 for g = gcd(d1, d2)
     pats = [
-        (sum(b << (N - i) * n for i, b in enumerate(bits)), a.sign,
-         a.radicand.numerator, a.radicand.denominator, a.radical_parts()[0])
+        (sum(b << (N - i) * n for i, b in enumerate(bits)), *a, a.radical_parts()[0])
         for bits, a in single.items()
     ]
     amps = {0: (1, 1, 1, 1)}
@@ -340,13 +339,12 @@ def verify_case(state: WClassState, n: int) -> dict:
                 entry["mismatches"].append({"lams": str(lams), "why": why})
             continue
         entry["sectors"] += 1
-        # each value split once; khat shares its value objects, keyed by id
-        vals = kv.coeffs.values()
-        kparts = {i: v.radical_parts() for i, v in dict(zip(map(id, vals), vals)).items()}
+        # each distinct value split once
+        kparts = {v: v.radical_parts() for v in set(kv.coeffs.values())}
         phiparts = {om: v.radical_parts() for om, v in phi.items()}
         bad = []
         for (om, (d, p, q)), (qt, k) in product(phiparts.items(), kv.coeffs.items()):
-            e, r, s = kparts[id(k)]
+            e, r, s = kparts[k]
             got = {x: c * q * s for x, c in block.cells.get((om, qt), {}).items()}
             if got != _times_root({d: p * block.den}, r, e, {}):
                 bad.append(str((om, qt)))

@@ -1,9 +1,12 @@
+import json
 import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import RadicalSum, as_rational, collapse
 from wkron.exact import SqrtRational, sym_eig
@@ -65,6 +68,61 @@ def test_mul_commutative_associative_random():
         assert a * b == b * a
         assert (a * b) * c == a * (b * c)
         assert (a * b).square() == a.square() * b.square()
+
+
+def _value(sign, num, den):
+    return SqrtRational(sign, Fraction(num, den) if sign else Fraction(0))
+
+
+# small entries share factors often, so most products need reducing
+_ints = st.integers(1, 60) | st.integers(1, 10**12)
+_values = st.builds(_value, st.sampled_from((-1, 0, 1)), _ints, _ints)
+
+
+def _assert_canonical(v):
+    sign, num, den = v
+    assert type(v) is SqrtRational and {type(x) for x in v} == {int}, v
+    assert den >= 1 and math.gcd(num, den) == 1, v
+    assert (sign == 0) == (num == 0), v
+    assert v.is_zero == (v == (0, 0, 1)), v
+    assert v == SqrtRational(v.sign, v.radicand)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_values, _values, st.fractions(), st.fractions(min_value=0), _ints)
+def test_every_value_is_canonical(a, b, q, r, k):
+    # table records are the tuples themselves, so an unreduced product would
+    # change the output bytes; commutativity, associativity and square()
+    # all survive one
+    unreduced = {"sign": a.sign, "num": a[1] * k, "den": a[2] * k}
+    results = [a * b, -a, SqrtRational.sqrt(r), SqrtRational.from_rational(q),
+               SqrtRational.from_json(a.to_json()), SqrtRational.from_json(unreduced)]
+    if b.sign:
+        results.append(a / b)
+    for v in (a, b, *results):
+        _assert_canonical(v)
+    # equal values reached by different routes are equal and hash equal
+    fq = SqrtRational.from_rational(q)
+    routes = [
+        (a * b, SqrtRational(a.sign * b.sign, a.radicand * b.radicand)),
+        (-(-a), a),
+        (SqrtRational.from_json(unreduced), a),
+        (fq * fq, SqrtRational.sqrt(q**4)),
+        (SqrtRational.sqrt(r) * SqrtRational.sqrt(r), SqrtRational.from_rational(r)),
+        (tuple(json.loads(json.dumps(a))), a),
+    ]
+    if b.sign:
+        routes.append(((a * b) / b, a))
+    for x, y in routes:
+        assert x == y and hash(x) == hash(y), (x, y)
+
+
+def test_sums_and_int_products_raise():
+    # a tuple would concatenate or repeat; a sum leaves the scalar set
+    a, b = sq("1/2"), -sq("1/3")
+    for bad in (lambda: a + b, lambda: 2 * a, lambda: a * 2):
+        with pytest.raises(TypeError):
+            bad()
 
 
 def test_division_inverts_multiplication():

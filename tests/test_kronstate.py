@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -28,7 +30,7 @@ from wkron.kronstate import (
     to_table_json,
     verify_lemma1,
 )
-from wkron.partitions import kron_coeff, ptuple, w_admissible
+from wkron.partitions import PartitionTuple, TwoRowPartition, kron_coeff, ptuple, w_admissible
 from wkron.probw import p_w, p_w_counting
 from wkron.protocol import all_partition_tuples
 from wkron.schur import standard_paths
@@ -274,6 +276,24 @@ def test_table_json_equals_per_entry_reference():
             assert len({id(v) for v in back.coeffs.values()}) == len(back.coeffs)
             for vec in (kv, nk, back):
                 check(vec)
+            # keyed by value, not by object: back shares no value object
+            for party in range(num_parties):
+                assert reduced_density(back, party) == reduced_density(nk, party), kv.lams
+
+
+def test_sectors_values_and_vectors_survive_pickle_and_copy():
+    lams = ptuple((4, 2), (4, 2), (5, 1))
+    kv = khat(3, 6, lams)
+    assert len(kv.coeffs) == 112
+    objects = [lams[0], lams, SqrtRational.zero(), -SqrtRational.sqrt(Fraction(18, 5)), kv]
+    for roundtrip in (lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy):
+        for x in objects:
+            y = roundtrip(x)
+            assert y == x and type(y) is type(x), x
+        back = roundtrip(kv)
+        assert type(back.lams) is PartitionTuple
+        assert {type(p) for p in back.lams} == {TwoRowPartition}
+        assert {type(v) for v in back.coeffs.values()} == {SqrtRational}
 
 
 def test_eta_sq_equals_khat_norm():

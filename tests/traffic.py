@@ -6,7 +6,7 @@ One process runs three sets of traffic under a `sys.setprofile` tracer:
 
 - the benchmark's smoke requests for every workload on seeds 1 and 2,
   through `perfbench/workloads.py`'s `generate`, `prepare` and `execute`;
-- every `wkron` command line that a CI step runs (`CI_ARGV`), and the two
+- every `wkron` command line that a CI step runs (`CI_ARGV`), and the three
   CI steps that call the library directly (`ci_library_steps`);
 - the four demos, with their stdout discarded.
 
@@ -38,6 +38,10 @@ ALLOWED = {
     "probw.p_psi": "the benchmark's tracer counts calls to it by name",
     "exact.SqrtRational.__neg__": "arithmetic on the scalar, not a route to a quantity",
     "partitions.TwoRowPartition.__repr__": "the display form that error messages print",
+    "partitions.TwoRowPartition.__getnewargs__":
+        "pickle and copy call it; no CLI, benchmark or demo traffic pickles",
+    "exact.SqrtRational.__getnewargs__":
+        "pickle and copy call it; no CLI, benchmark or demo traffic pickles",
 }
 
 # The distinct argv of the `wkron` calls in .github/workflows/tests.yml, in step order.
@@ -78,9 +82,10 @@ def defined() -> dict[tuple[str, int], str]:
     return out
 
 
-def ci_library_steps(table_text: str):
+def ci_library_steps(*table_texts: str):
     """The CI steps that check the dense oracle against the closed form at
-    the two-party cap, and round-trip the (6,3)^3 table given as text."""
+    the two-party cap, and round-trip the (6,3)^3 and (5,2;5,2;5,2;6,1)
+    tables given as text."""
     from wkron.exact import SqrtRational
     from wkron.kronstate import from_table_json, to_table_json, verify_lemma1
     from wkron.protocol import sector_distribution
@@ -90,11 +95,12 @@ def ci_library_steps(table_text: str):
            SqrtRational.sqrt(Fraction(1, 3)), 0]
     sector_distribution(raw, 9)
     sector_distribution(WClassState((Fraction(1, 6), Fraction(1, 3), Fraction(1, 2))), 9)
-    kv = from_table_json(json.loads(table_text))
-    to_table_json(kv)
-    kv.norm_sq()
-    for party in range(3):
-        verify_lemma1(kv, party)
+    for text in table_texts:
+        kv = from_table_json(json.loads(text))
+        to_table_json(kv)
+        kv.norm_sq()
+        for party in range(kv.lams.num_parties):
+            verify_lemma1(kv, party)
 
 
 def run_traffic():
@@ -111,7 +117,7 @@ def run_traffic():
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             cli.main(argv.split())
         stdout[argv] = out.getvalue()
-    ci_library_steps(stdout["kron --lambda 6,3;6,3;6,3"])
+    ci_library_steps(stdout["kron --lambda 6,3;6,3;6,3"], stdout["kron --lambda 5,2;5,2;5,2;6,1"])
     for demo in sorted((ROOT / "demos").glob("*.py")):
         with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
             runpy.run_path(str(demo), run_name="__main__")
