@@ -7,7 +7,8 @@ absent means exact zero.  The recurrence runs backward from the requested
 sector: a sector at level n is assembled from its predecessors at level n-1,
 so one sector costs only its down-set.  The recurrence assigns nonzero formal
 values to sectors outside the W-class admissible set, whose physical amplitude
-is zero; those are zeroed at every level before propagating.
+is zero; those are zeroed at every level before propagating.  Below a sector
+it is keyed by ints, (second rows, level), over one box per level (`khat`).
 
 One step of the recurrence has one rule, `_boxes`.  At level m each party,
 with second row b, gives back one box: its last first-row box when 2b < m,
@@ -22,7 +23,7 @@ pieces a sector gets from different predecessors are orthogonal.  Scaled by
 the hook products H(a, c) = (a+1)! c! / (a-c+1) = m! / dim (a, c), it runs
 in integers: E = eta^2 * prod_i H(lams_i) / m! obeys a recurrence with one
 exact division per sector and level.  `eta_sq_table` sweeps E level by
-level over a flat box of second-row tuples, without recursion and without
+level, sparse over the cells the walk visits, without recursion and without
 building a coefficient, and forms a Fraction only for the sectors asked
 for.  It is the one route to eta^2: every sector probability (`probw`, so
 `wkron prob` and `sample`) and `wkron kron`'s `eta` and `p_w` fields go
@@ -41,7 +42,7 @@ from operator import itemgetter
 
 from .exact import InconsistencyError, SqrtRational, _times_root
 from .partitions import (
-    PartitionTuple, TwoRowPartition, dim_irrep, list_partitions, w_admissible, w_admissible_tuples)
+    PartitionTuple, TwoRowPartition, admissible_rows, dim_irrep, w_admissible, w_admissible_tuples)
 from .schur import standard_paths
 
 QTuple = tuple[tuple[int, ...], ...]
@@ -63,30 +64,26 @@ class KroneckerVector:
         return sum((v.square() * c for v, c in counts.items()), Fraction(0))
 
 
-def _sector_coeffs(lams: PartitionTuple) -> dict[QTuple, SqrtRational]:
-    """Coefficients of an admissible sector, built from its admissible
-    predecessors (one box removed per party, see `_predecessors`), each
-    extended by the removed boxes' rows qn and scaled by their factor f.
-    Not cached itself: only the lower levels are memoized, so the caller
-    owns the returned dict.
+def _sector_coeffs(b: tuple[int, ...], n: int) -> dict[QTuple, SqrtRational]:
+    """Coefficients of the admissible sector with second rows b at level n,
+    built from its admissible predecessors (one box removed per party, see
+    `_predecessors`), each extended by the removed boxes' rows qn and scaled
+    by their factor f.  Not cached itself: only the lower levels are
+    memoized, so the caller owns the returned dict.
     """
-    num_parties, n = lams.num_parties, lams.n
     if n == 1:
-        return {((0,),) * num_parties: SqrtRational.one()}
-    b = tuple(lam.lambda2 for lam in lams)
+        return {((0,),) * len(b): SqrtRational.one()}
     out: dict[QTuple, SqrtRational] = {}
     values: dict[SqrtRational, SqrtRational] = {}
     for p, num, den in _predecessors(b, n):
-        prev = PartitionTuple(TwoRowPartition(n - 1 - pi, pi) for pi in p)
         f = SqrtRational(1 if num > 0 else -1, Fraction(num * num, den))
-        prev_coeffs = _memo_coeffs(prev)
+        prev_coeffs = _memo_coeffs(p, n - 1)
         # one object per distinct path and value keeps a sector small
         def scale(v):
             v = v * f
             return values.setdefault(v, v)
 
-        qn = map(int.__sub__, b, p)
-        grown = _partywise(list(map(_extensions, prev, qn)), prev_coeffs)
+        grown = _partywise([_extensions(n - 1, pi, bi - pi) for pi, bi in zip(p, b)], prev_coeffs)
         out.update(zip(grown, _per_value(prev_coeffs, scale)))
     return out
 
@@ -106,16 +103,16 @@ def _partywise(maps, keys, *more):
 
 
 @lru_cache(maxsize=128)
-def _extensions(lam: TwoRowPartition, q: int) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """Each path of lam, extended by one box in row q.  Every sector grown
-    from lam by q reads the same extended objects, so a sector holds one
-    object per party path.  A level of the recurrence reads at most two maps
-    per partition, so the bound holds a whole level up to n = 126."""
-    return {p: p + (q,) for p in standard_paths(lam)}
+def _extensions(m: int, b: int, q: int) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """Each path of (m - b, b), extended by one box in row q.  Every sector
+    grown from it by q reads the same extended objects, so a sector holds
+    one object per party path.  A level of the recurrence reads at most two
+    maps per partition, so the bound holds a whole level up to n = 126."""
+    return {p: p + (q,) for p in standard_paths(TwoRowPartition(m - b, b))}
 
 
-# Lower levels of the recurrence, shared by every sector whose down-set holds
-# them.  The cached dicts are read-only.
+# Lower levels of the recurrence, keyed by (second rows, level) and shared by
+# every sector whose down-set holds them.  The cached dicts are read-only.
 _memo_coeffs = lru_cache(maxsize=None)(_sector_coeffs)
 
 
@@ -123,24 +120,28 @@ def khat(num_parties: int, n: int, lams: PartitionTuple) -> KroneckerVector:
     """Unnormalized Kronecker vector for one sector; empty when the sector is
     inadmissible or its support vanishes.
 
-    Only the down-set of lams (the admissible tuples partywise contained in
-    it) is built, and only levels below n are memoized, so cost scales with
-    that down-set, not with every sector at n.  The memo is filled from level
-    1 upward, so every sector finds its predecessors there and nothing
-    recurses.  On a 2-core Xeon VM with Python 3.11.7, (10,2)^3 at n=12 (22k
-    coefficients) takes 0.26 s and 38 MB peak RSS, (9,3)^3 (618k) 4.0 s and
-    214 MB, (8,4)^3 (2.4M) 12.8 s and 646 MB.
+    Only the down-set of lams is built, and only levels below n are
+    memoized, so cost scales with that down-set, not with every sector at n.
+    Below second rows t at level n, level m of the down-set is the admissible
+    b with max(0, t_i - (n - m)) <= b_i <= min(t_i, m // 2): a party loses at
+    most one box per level, and no step into an admissible predecessor has
+    num = 0 (all first-row boxes: num = m - sum b >= 1; a second-row box of
+    party j: num <= 2 b_j - sum b - 1 < 0).  The memo is filled over these
+    boxes from level 1 upward, so nothing recurses, and it keeps the lower
+    levels for the life of the process (118 MB after (9,3)^3).  On a 2-core
+    Xeon VM with Python 3.11.7, (10,2)^3 at n=12 (22k coefficients) takes
+    0.26 s and 38 MB peak RSS, (9,3)^3 (618k) 4.0 s and 214 MB, (8,4)^3
+    (2.4M) 12.8 s and 646 MB.
     """
     if lams.num_parties != num_parties or lams.n != n:
         raise ValueError("partition tuple inconsistent with (N, n)")
     if not w_admissible(lams):
         return KroneckerVector(lams, {})
-    levels = _down_set({tuple(lam.lambda2 for lam in lams)}, n)
-    for m, level in enumerate(levels[:-1], 1):
-        parts = list_partitions(m)
-        for b in level:
-            _memo_coeffs(PartitionTuple(map(parts.__getitem__, b)))
-    return KroneckerVector(lams, _sector_coeffs(lams))
+    t = tuple(lam.lambda2 for lam in lams)
+    for m in range(1, n):
+        for b in admissible_rows([range(max(0, x - n + m), min(x, m // 2) + 1) for x in t], m):
+            _memo_coeffs(b, m)
+    return KroneckerVector(lams, _sector_coeffs(t, n))
 
 
 def khat_all(num_parties: int, n: int) -> dict[PartitionTuple, KroneckerVector]:
@@ -166,12 +167,13 @@ def eta_sq_table(sectors) -> dict[PartitionTuple, Fraction]:
     sector the tests sweep, not proven), so each division is exact; one with
     a remainder raises InconsistencyError.  E = 1 at n = 1.
 
-    The sweep runs over one flat list indexed by the box of second-row
-    tuples prod_i [0, max over the targets of b_i], where a stride turns
-    each predecessor shift into an index offset.  Level m holds only the
-    admissible cells (sum b <= m, 2 max b <= sum b) that can still reach a
-    target, and eta^2 = E * prod_i dim(lams_i) / n!^(N-1) is formed only for
-    the targets; inadmissible targets read 0.
+    The sweep is sparse, over the cells the walk visits: a dict per level,
+    keyed by the index of a second-row tuple in the box prod_i [0, max over
+    the targets of b_i], where a stride turns each predecessor shift into an
+    index offset.  Level m holds only the nonzero admissible cells (sum b <=
+    m, 2 max b <= sum b) that can still reach a target, so memory follows
+    those cells, not the box, and eta^2 = E * prod_i dim(lams_i) / n!^(N-1)
+    is formed only for the targets; inadmissible targets read 0.
 
     On a 2-core Xeon VM with Python 3.11.7, the table of every sector takes
     2.9 ms at N=4 n=8, 0.20 s at N=3 n=48, 0.24 s at N=4 n=24 and 2.4 s at
@@ -192,10 +194,9 @@ def eta_sq_table(sectors) -> dict[PartitionTuple, Fraction]:
     strides = [1] * num_parties
     for i in range(num_parties - 1, 0, -1):
         strides[i - 1] = strides[i] * (hi[i] + 1)
-    prev = [0] * (strides[0] * (hi[0] + 1))
-    prev[0] = 1
+    prev = {0: 1}
     for m in range(2, n + 1):
-        cur = [0] * len(prev)
+        cur = {}
         top = [min(h, m // 2) for h in hi]
         steps = [_party_steps(m, h, stride) for h, stride in zip(top, strides)]
         dens = [m - 2 * bi + 1 for bi in range(max(hi) + 1)]
@@ -219,7 +220,7 @@ def eta_sq_table(sectors) -> dict[PartitionTuple, Fraction]:
                     acc = 0
                     for o2, r2, u2 in steps[i][bi]:
                         for o, r, u in terms:
-                            e = prev[at - o - o2]
+                            e = prev.get(at - o - o2)
                             if e and (k := m - u - u2):
                                 acc += k * k * r * r2 * e
                     if acc:
@@ -238,11 +239,8 @@ def eta_sq_table(sectors) -> dict[PartitionTuple, Fraction]:
     out = {}
     for s in sectors:
         b = tuple(lam.lambda2 for lam in s)
-        if b in tops:
-            e = prev[sum(map(int.__mul__, b, strides))]
-            out[s] = Fraction(e * math.prod(map(dims.__getitem__, b)), scale)
-        else:
-            out[s] = Fraction(0)
+        e = b in tops and prev.get(sum(map(int.__mul__, b, strides)))
+        out[s] = Fraction(e * math.prod(map(dims.__getitem__, b)), scale) if e else Fraction(0)
     return out
 
 
@@ -251,18 +249,6 @@ def _party_steps(m: int, hi: int, stride: int) -> list[tuple[tuple[int, int, int
     r, share of m - num) of each box the party can give back, r = m + 1 - share."""
     return [tuple(((bi - p) * stride, m + 1 - share, share) for p, share, _ in _boxes(bi, m))
             for bi in range(hi + 1)]
-
-
-def _down_set(top: set[tuple[int, ...]], n: int) -> list[set[tuple[int, ...]]]:
-    """levels[m - 1]: the second-row tuples at level m from which the
-    recurrence reaches a tuple of top (at level n) through nonzero factors;
-    these are the sectors `_sector_coeffs` builds below the top.  A sector is
-    keyed by its second-row lengths."""
-    levels = [top]
-    for m in range(n, 1, -1):
-        levels.append({p for b in levels[-1] for p, _, _ in _predecessors(b, m)})
-    levels.reverse()
-    return levels
 
 
 def _predecessors(b: tuple[int, ...], m: int):

@@ -10,7 +10,7 @@ the tests as an oracle.
 from __future__ import annotations
 
 import math
-from itertools import compress, product
+from itertools import compress
 from operator import add, itemgetter, not_
 
 from .exact import InconsistencyError
@@ -185,14 +185,24 @@ def w_admissible(t: PartitionTuple) -> bool:
     return _admissible([lam.lambda2 for lam in t], t.n)
 
 
+def admissible_rows(box, n: int) -> list[tuple[int, ...]]:
+    """The one enumeration of the W-admissible set: the second-row tuples b
+    of the box prod_i box[i] (a range per party) with 2*b_i <= sum b <= n,
+    in lexicographic order.  A prefix of sum s is extended only by rows up
+    to n - s, so the work follows the tuples with sum <= n, not the box."""
+    rows = [((), 0)]
+    for r in box:
+        rows = [(b + (x,), s + x) for b, s in rows for x in range(r.start, min(r.stop, n - s + 1))]
+    return [b for b, s in rows if 2 * max(b) <= s]
+
+
 def w_admissible_tuples(num_parties: int, n: int):
     """The W-admissible partition tuples of num_parties parts of n, in the
-    order of `protocol.all_partition_tuples`: second-row tuples run in
-    lexicographic order, and only the admissible ones become objects."""
+    order of `protocol.all_partition_tuples`: the second-row tuples of
+    `admissible_rows`, so no inadmissible tuple is visited."""
     parts = list_partitions(n)
-    for b in product(range(n // 2 + 1), repeat=num_parties):
-        if _admissible(b, n):
-            yield PartitionTuple(map(parts.__getitem__, b))
+    for b in admissible_rows([range(n // 2 + 1)] * num_parties, n):
+        yield PartitionTuple(map(parts.__getitem__, b))
 
 
 def reduced_entropy(lam: TwoRowPartition) -> float:

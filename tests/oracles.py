@@ -20,7 +20,7 @@ import numpy as np
 from wkron.covariants import Coeff, Monomial, MultiPoly, _weights, base_form
 from wkron.exact import SqrtRational, _sign, _times_root
 from wkron.ghz import GramMatrix, _louck_numerators, _radicand, _weight_pref
-from wkron.kronstate import KroneckerVector, _down_set, _predecessors
+from wkron.kronstate import KroneckerVector, _predecessors
 from wkron.partitions import (
     PartitionTuple,
     TwoRowPartition,
@@ -1002,6 +1002,18 @@ def table_json_per_entry(k: KroneckerVector) -> dict:
 def norm_sq_per_coeff(k: KroneckerVector) -> Fraction:
     """Squared norm as one Fraction sum over the coefficients."""
     return sum((v.square() for v in k.coeffs.values()), Fraction(0))
+
+
+def _down_set(top: set[tuple[int, ...]], n: int) -> list[set[tuple[int, ...]]]:
+    """levels[m - 1]: the second-row tuples at level m from which the
+    recurrence reaches a tuple of top (at level n) through nonzero factors;
+    these are the sectors `_sector_coeffs` builds below the top.  A sector is
+    keyed by its second-row lengths."""
+    levels = [top]
+    for m in range(n, 1, -1):
+        levels.append({p for b in levels[-1] for p, _, _ in _predecessors(b, m)})
+    levels.reverse()
+    return levels
 
 
 def eta_sq_walk(sectors) -> dict[PartitionTuple, Fraction]:

@@ -2,12 +2,15 @@ import copy
 import json
 import math
 import pickle
+import tracemalloc
 from fractions import Fraction
+from operator import itemgetter
 
 import pytest
 
 from oracles import (
     RadicalSum,
+    _down_set,
     eta_sq_walk,
     norm_sq_per_coeff,
     reduced_density_reference,
@@ -30,7 +33,8 @@ from wkron.kronstate import (
     to_table_json,
     verify_lemma1,
 )
-from wkron.partitions import PartitionTuple, TwoRowPartition, kron_coeff, ptuple, w_admissible
+from wkron.partitions import (
+    PartitionTuple, TwoRowPartition, kron_coeff, ptuple, w_admissible, w_admissible_tuples)
 from wkron.probw import p_w, p_w_counting
 from wkron.protocol import all_partition_tuples
 from wkron.schur import standard_paths
@@ -204,9 +208,29 @@ def test_khat_memoizes_only_the_down_set():
     found = 0
     for t in (t for t in lower if _contained(t, lams)):
         misses = memo.cache_info().misses
-        memo(t)
+        memo(tuple(lam.lambda2 for lam in t), t.n)
         found += memo.cache_info().misses == misses
     assert 0 < held == found < len(lower)
+
+
+def test_khat_levels_are_the_down_set(monkeypatch):
+    # khat fills its memo over one box per level; record the cells it asks
+    # for, building none of them nor the top, and compare each level below
+    # the top with the predecessor search
+    asked = []
+    monkeypatch.setattr(kronstate, "_memo_coeffs", lambda b, m: asked.append((b, m)))
+    monkeypatch.setattr(kronstate, "_sector_coeffs", lambda b, n: {})
+    tops = [t for num_parties, nmax in ((2, 24), (3, 12), (4, 8), (5, 6))
+            for n in range(1, nmax + 1) for t in w_admissible_tuples(num_parties, n)]
+    assert len(tops) == 1641
+    tops += [ptuple(*[(9, 3)] * 3), ptuple(*[(9, 2)] * 4), ptuple((16, 8), (16, 8), (18, 6)),
+             ptuple((32, 16), (34, 14), (36, 12))]
+    for lams in tops:
+        asked.clear()
+        khat(lams.num_parties, lams.n, lams)
+        assert len(set(asked)) == len(asked) and asked == sorted(asked, key=itemgetter(1))
+        levels = [{b for b, m in asked if m == level} for level in range(1, lams.n)]
+        assert levels == _down_set({tuple(lam.lambda2 for lam in lams)}, lams.n)[:-1], lams
 
 
 def test_khat_deep_thin_sector_is_iterative():
@@ -323,6 +347,19 @@ def test_eta_sq_deep_thin_sector_is_iterative():
     # one chain of 1000 levels: each all-first-row step has f^2 = 1/m
     lams = ptuple((1000, 0), (1000, 0), (1000, 0))
     assert eta_sq(lams) == Fraction(1, math.factorial(1000))
+
+
+def test_eta_sq_table_memory_follows_the_admissible_cells():
+    # a box of 2^20 second-row tuples holds 191 admissible sectors at n = 2
+    sectors = list(w_admissible_tuples(20, 2))
+    tracemalloc.start()
+    try:
+        table = eta_sq_table(sectors)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table) == 191 and peak < 1 << 20, peak
+    assert table == eta_sq_walk(sectors)
 
 
 def test_eta_sq_table_validates_input():

@@ -1,11 +1,16 @@
 import math
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import all_cycle_types, character, class_size, kron_coeff_young
 from wkron.partitions import (
     PartitionTuple,
     TwoRowPartition,
+    _admissible,
+    admissible_rows,
     dim_irrep,
     kron_coeff,
     list_partitions,
@@ -189,6 +194,15 @@ def test_w_admissible_tuples_are_the_admissible_filter(num_parties):
         assert list(w_admissible_tuples(num_parties, n)) == expect, n
     with pytest.raises(ValueError):
         list(w_admissible_tuples(num_parties, 0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)).map(sorted), min_size=1, max_size=6),
+       st.integers(0, 16))
+def test_admissible_rows_equals_the_filter(bounds, n):
+    # the prefix bound drops only tuples the filter drops, in the same order
+    box = [range(lo, hi + 1) for lo, hi in bounds]
+    assert admissible_rows(box, n) == [b for b in product(*box) if _admissible(b, n)]
 
 
 def test_sectors_compare_as_plain_tuples():

@@ -55,6 +55,7 @@ CI_ARGV = [
     "prob --parties 4 --copies 24",
     "prob --parties 8 --copies 8",
     "prob --parties 10 --copies 6",
+    "prob --parties 12 --copies 6",
     "prob --state ghz:1/3 --copies 24",
     "covariant --state 1/12,1/4,1/3,1/3 --copies 24 --nu 24,24,24",
     "covariant --parties 4 --copies 12 --nu 12,12,12,12",
